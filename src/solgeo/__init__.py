@@ -1,8 +1,8 @@
 """Numerical toolkit for moving frames, zero-curvature residuals and
 soliton field maps on regular grids."""
 
-from solgeo.errors import ConstraintError, DomainError
+from solgeo.errors import ConstraintError, DomainError, NumericalError
 
 __version__ = "0.1.0"
 
-__all__ = ["ConstraintError", "DomainError", "__version__"]
+__all__ = ["ConstraintError", "DomainError", "NumericalError", "__version__"]

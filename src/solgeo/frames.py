@@ -12,6 +12,12 @@ from solgeo import liealg
 from solgeo.errors import DomainError
 
 
+def _gram_defect(e: np.ndarray, beta: int) -> float:
+    """Max of |E eta E^T - eta| over a stack of frames (..., 3, 3)."""
+    eta = np.diag([float(beta), 1.0, 1.0])
+    return float(np.abs(e @ eta @ np.swapaxes(e, -1, -2) - eta).max())
+
+
 @dataclass(frozen=True)
 class FrameTriad:
     """Orthonormal (or pseudo-orthonormal for beta=-1) triad, rows e1,e2,e3."""
@@ -32,9 +38,7 @@ class FrameTriad:
     def gram_defect(self) -> float:
         """Max deviation of the pseudo-Gram matrix E eta E^T from
         eta = diag(beta, 1, 1); for beta=1 this is plain orthonormality."""
-        e = self.as_matrix()
-        eta = np.diag([float(self.beta), 1.0, 1.0])
-        return float(np.abs(e @ eta @ e.T - eta).max())
+        return _gram_defect(self.as_matrix(), self.beta)
 
 
 @dataclass(frozen=True)
@@ -47,11 +51,21 @@ class FrameField:
         m = self.data[idx]
         return FrameTriad(m[0], m[1], m[2], self.beta)
 
+    def gram_defect(self) -> float:
+        """Largest `FrameTriad.gram_defect` over every frame of the field."""
+        return _gram_defect(self.data, self.beta)
+
 
 @dataclass(frozen=True)
 class PositionField:
     grid: sg.GridSpec
     data: np.ndarray  # grid.shape + (3,)
+
+
+def _midpoint(mats: np.ndarray, h: float) -> np.ndarray:
+    """Midpoint step generators h (M_i + M_{i+1}) / 2 of a line of
+    connection matrices mats[..., i, :, :]; leading axes are other lines."""
+    return h * 0.5 * (mats[..., :-1, :, :] + mats[..., 1:, :, :])
 
 
 def propagate_frenet(start: FrameTriad, coeffs, beta: int, h: float) -> FrameField:
@@ -61,24 +75,10 @@ def propagate_frenet(start: FrameTriad, coeffs, beta: int, h: float) -> FrameFie
     coeffs = list(coeffs)
     if len(coeffs) < 2:
         raise DomainError("need at least two coefficient samples")
-    n = len(coeffs)
-    out = np.empty((n, 3, 3))
-    out[0] = start.as_matrix()
-    for i in range(n - 1):
-        a, b = coeffs[i], coeffs[i + 1]
-        mid = liealg.CoeffTriple(0.5 * (a.c1 + b.c1), 0.5 * (a.c2 + b.c2),
-                                 0.5 * (a.c3 + b.c3), a.role)
-        out[i + 1] = liealg.expm(h * liealg.skew_matrix(mid, beta)) @ out[i]
-    gspec = sg.GridSpec.make(sg.Axis("x", n, h))
+    mats = np.stack([liealg.skew_matrix(c, beta) for c in coeffs])
+    out = liealg.transport(_midpoint(mats, h), start.as_matrix())
+    gspec = sg.GridSpec.make(sg.Axis("x", len(coeffs), h))
     return FrameField(gspec, out, beta)
-
-
-def _propagate_line(frame0: np.ndarray, mats: np.ndarray, h: float) -> np.ndarray:
-    """Step a 3x3 frame through a line of connection matrices (midpoint)."""
-    f = frame0
-    for i in range(mats.shape[0] - 1):
-        f = liealg.expm(h * 0.5 * (mats[i] + mats[i + 1])) @ f
-    return f
 
 
 def commutation_defect_2d(start: FrameTriad, A: sg.MatrixField,
@@ -91,12 +91,14 @@ def commutation_defect_2d(start: FrameTriad, A: sg.MatrixField,
     hx = g.axis("x").h
     hy = g.axis("y").h
     f0 = start.as_matrix()
+
+    def line(frame, mats, h):
+        return liealg.transport(_midpoint(mats, h), frame)[-1]
+
     # x along y=0, then y along x=end
-    fx = _propagate_line(f0, A.data[:, 0], hx)
-    fxy = _propagate_line(fx, B.data[-1, :], hy)
+    fxy = line(line(f0, A.data[:, 0], hx), B.data[-1, :], hy)
     # y along x=0, then x along y=end
-    fy = _propagate_line(f0, B.data[0, :], hy)
-    fyx = _propagate_line(fy, A.data[:, -1], hx)
+    fyx = line(line(f0, B.data[0, :], hy), A.data[:, -1], hx)
     return float(np.abs(fxy - fyx).max())
 
 
@@ -262,13 +264,9 @@ def reconstruct_surface(s: SurfaceData, r0=(0.0, 0.0, 0.0), frame0=None,
         e2,
     ])
 
-    Z = np.empty((nx, ny, 3, 3))
-    Z[0, 0] = Z0
-    for i in range(nx - 1):
-        Z[i + 1, 0] = liealg.expm(hx * 0.5 * (A.data[i, 0] + A.data[i + 1, 0])) @ Z[i, 0]
-    for i in range(nx):
-        for j in range(ny - 1):
-            Z[i, j + 1] = liealg.expm(hy * 0.5 * (B.data[i, j] + B.data[i, j + 1])) @ Z[i, j]
+    # x-sweep along y_min, then every x-row's y-sweep in one batch
+    Z_row0 = liealg.transport(_midpoint(A.data[:, 0], hx), Z0)
+    Z = liealg.transport(_midpoint(B.data, hy), Z_row0)
 
     rx = Z[..., 0, :]
     ry = Z[..., 1, :]

@@ -1,5 +1,6 @@
 """Fixed-size matrix algebra: skew matrices from coefficient triples,
-commutators, matrix exponentials and the 2x2 spin matrix.
+commutators, matrix exponentials, Lie-group frame transport and the 2x2
+spin matrix.
 
 Matrices are plain numpy arrays; the builders here guarantee the algebraic
 shape (generalized antisymmetry, tracelessness) of their outputs.
@@ -87,24 +88,62 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
-def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of a 3x3 generator.
+def _expm_batch(gens: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of a stack of generators (..., k, k).
 
-    Antisymmetric input goes through the closed-form axis-angle (Rodrigues)
-    formula, so the result is orthogonal to rounding; anything else falls
-    back to scaling-and-squaring.
+    Each 3x3 generator with |m + m^T| <= 1e-14 goes through the
+    closed-form axis-angle (Rodrigues) formula, so the result is orthogonal
+    to rounding; all others go through one batched scaling-and-squaring
+    call.
     """
-    m = np.asarray(m, dtype=float)
-    if not np.all(np.isfinite(m)):
+    gens = np.asarray(gens, dtype=float)
+    if not np.all(np.isfinite(gens)):
         raise DomainError("non-finite generator")
-    if m.shape == (3, 3) and np.allclose(m, -m.T, rtol=0.0, atol=1e-14):
-        w = np.array([m[2, 1], m[0, 2], m[1, 0]])
-        theta = np.linalg.norm(w)
-        if theta < 1e-30:
-            return np.eye(3)
+    out = np.empty_like(gens)
+    if gens.shape[-2:] == (3, 3):
+        skew = np.all(np.abs(gens + np.swapaxes(gens, -1, -2)) <= 1e-14,
+                      axis=(-2, -1))
+    else:
+        skew = np.zeros(gens.shape[:-2], dtype=bool)
+    if skew.any():
+        m = gens[skew]
+        w = np.stack([m[:, 2, 1], m[:, 0, 2], m[:, 1, 0]], axis=-1)
+        theta = np.linalg.norm(w, axis=-1)
+        zero = theta < 1e-30
+        theta = np.where(zero, 1.0, theta)[:, None, None]
         k = m / theta
-        return np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
-    return scipy.linalg.expm(m)
+        r = np.eye(3) + np.sin(theta) * k + (1.0 - np.cos(theta)) * (k @ k)
+        r[zero] = np.eye(3)
+        out[skew] = r
+    if not skew.all():
+        out[~skew] = scipy.linalg.expm(gens[~skew])
+    return out
+
+
+def expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential of one generator: the single-matrix case of the
+    batched exponential behind `transport`."""
+    return _expm_batch(m)
+
+
+def transport(gens: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Lie-group transport of a frame through a sequence of step generators.
+
+    gens[..., i, :, :] is the (step-scaled) generator of step i; leading
+    axes are independent lines and broadcast against start[..., :, :].
+    Returns F with F[..., 0, :, :] = start and
+    F[..., i+1, :, :] = expm(gens[..., i, :, :]) @ F[..., i, :, :].
+    All exponentials are taken in one batch; only the product chain loops.
+    """
+    steps = _expm_batch(gens)
+    start = np.asarray(start, dtype=float)
+    lead = np.broadcast_shapes(steps.shape[:-3], start.shape[:-2])
+    n = steps.shape[-3]
+    out = np.empty(lead + (n + 1,) + start.shape[-2:])
+    out[..., 0, :, :] = start
+    for i in range(n):
+        out[..., i + 1, :, :] = steps[..., i, :, :] @ out[..., i, :, :]
+    return out
 
 
 def spin_matrix(s1: float, s2: float, s3: float, r2: int = 1) -> np.ndarray:

@@ -81,6 +81,21 @@ def test_check_lax(tmp_path):
     assert "lax-zi-refinement" in names and "lax-zi-discrimination" in names
 
 
+@pytest.mark.parametrize("refine", ["0", "1"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--system", "mlxii", "--case", "pure-gauge", "--n", "8"],
+    ["check", "--kind", "lambda", "--n", "8"],
+    ["check", "--kind", "lax"],
+])
+def test_refinement_needs_two_levels(argv, refine, capsys):
+    # one level gives no ratio, so the check could only pass vacuously
+    assert run(argv + ["--refine", refine]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert "--refine must be at least 2" in captured.err
+    assert captured.out == ""
+
+
 def test_report_determinism_excluding_timing(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

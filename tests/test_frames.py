@@ -48,6 +48,9 @@ def test_propagate_gram_drift(beta):
     # beta=+1 steps are Rodrigues rotations (orthogonal to rounding); the
     # pseudo-orthogonal case goes through the generic exponential
     assert worst < (1e-12 if beta == 1 else 1e-9)
+    # the batched field defect is the per-triad maximum over every frame
+    loop = max(out.triad(i).gram_defect() for i in range(n))
+    assert abs(out.gram_defect() - loop) <= 1e-15
 
 
 def test_propagate_varying_curvature_vs_ode_oracle():
@@ -272,6 +275,35 @@ def test_reconstruct_cylinder_radius_converges():
     assert errs[-1] < 2e-3
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
+
+
+def test_reconstruct_matches_row_by_row_sweep():
+    # reference: one expm per step, the x-sweep along y_min and then each
+    # x-row's y-sweep on its own
+    s = cases.sphere_patch(33)
+    res = frames.reconstruct_surface(s)
+    A, B = frames.gwe_matrices(s)
+    hx, hy = s.grid.axis("x").h, s.grid.axis("y").h
+    nx, ny = s.grid.shape
+    e1, e2, e3 = np.eye(3)
+    E0, F0, g0 = s.E[0, 0], s.F[0, 0], s.g[0, 0]
+    Z = np.empty((nx, ny, 3, 3))
+    Z[0, 0] = [np.sqrt(E0) * e1,
+               (F0 / np.sqrt(E0)) * e1 - np.sqrt(g0 / E0) * e3, e2]
+    for i in range(nx - 1):
+        step = liealg.expm(hx * 0.5 * (A.data[i, 0] + A.data[i + 1, 0]))
+        Z[i + 1, 0] = step @ Z[i, 0]
+    for i in range(nx):
+        for j in range(ny - 1):
+            step = liealg.expm(hy * 0.5 * (B.data[i, j] + B.data[i, j + 1]))
+            Z[i, j + 1] = step @ Z[i, j]
+    assert np.abs(res.normal - Z[..., 2, :]).max() <= 1e-14
+    rx, ry = Z[..., 0, :], Z[..., 1, :]
+    r = np.zeros((nx, ny, 3))
+    r[1:, 0] = np.cumsum(0.5 * hx * (rx[:-1, 0] + rx[1:, 0]), axis=0)
+    r[:, 1:] = r[:, :1] + np.cumsum(0.5 * hy * (ry[:, :-1] + ry[:, 1:]),
+                                    axis=1)
+    assert np.abs(res.position.data - r).max() <= 1e-14
 
 
 def test_reconstruct_mixed_partial_defect_budget():

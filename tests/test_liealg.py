@@ -115,6 +115,58 @@ def test_expm_generic_matches_series():
     assert np.abs(out - acc).max() < 1e-12
 
 
+def _mixed_generators(rng, n):
+    """Step generators cycling through the three exponential cases: skew
+    (Rodrigues), pseudo-orthogonal beta = -1 with sigma = 0 (scaling and
+    squaring) and all-zero."""
+    out = []
+    for i in range(n):
+        k, tau = rng.uniform(-1.0, 1.0, 2)
+        if i % 3 == 0:
+            a = rng.normal(size=(3, 3))
+            out.append(0.05 * (a - a.T))
+        elif i % 3 == 1:
+            t = liealg.CoeffTriple.x(k, tau, 0.0)
+            out.append(0.05 * liealg.skew_matrix(t, -1))
+        else:
+            out.append(np.zeros((3, 3)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("lead", [(), (4,), (2, 3)])
+def test_transport_matches_stepwise_expm(lead):
+    rng = np.random.default_rng(4)
+    nsteps = 9
+    gens = _mixed_generators(rng, int(np.prod(lead)) * nsteps)
+    gens = gens.reshape(lead + (nsteps, 3, 3))
+    start = rng.normal(size=lead + (3, 3))
+    got = liealg.transport(gens, start)
+    assert got.shape == lead + (nsteps + 1, 3, 3)
+    for idx in np.ndindex(*lead):
+        f = start[idx]
+        assert np.array_equal(got[idx][0], f)
+        for i in range(nsteps):
+            f = liealg.expm(gens[idx][i]) @ f
+            assert np.abs(got[idx][i + 1] - f).max() <= 1e-14
+
+
+def test_transport_broadcasts_one_start_over_lines():
+    gens = _mixed_generators(np.random.default_rng(5), 12).reshape(3, 4, 3, 3)
+    got = liealg.transport(gens, np.eye(3))
+    for j in range(3):
+        assert np.array_equal(got[j], liealg.transport(gens[j], np.eye(3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_transport_rejects_nonfinite(bad):
+    gens = np.zeros((2, 5, 3, 3))
+    gens[1, 3, 0, 1] = bad
+    with pytest.raises(DomainError):
+        liealg.transport(gens, np.eye(3))
+    with pytest.raises(DomainError):
+        liealg.expm(gens[1, 3])
+
+
 def test_spin_matrix_north_pole():
     assert np.array_equal(liealg.spin_matrix(0, 0, 1, 1), np.diag([1.0, -1.0]))
 
