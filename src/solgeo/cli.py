@@ -13,16 +13,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
-from solgeo import __version__, cases, frames, liealg, solitons, zerocurv
-from solgeo import grid as sg
-from solgeo.errors import ConstraintError, DomainError, NumericalError
-
-TOL_ALGEBRAIC = 1e-13
-TOL_ANALYTIC = 1e-10
-RATIO_WINDOW = (3.5, 4.5)
-
 
 def _apply_thread_cap():
     cap = os.environ.get("SOLGEO_THREADS")
@@ -30,6 +20,21 @@ def _apply_thread_cap():
         for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
                     "MKL_NUM_THREADS"):
             os.environ.setdefault(var, cap)
+
+
+# BLAS and OpenMP read their thread counts once, when numpy loads, so the
+# cap must be in the environment before the imports below
+_apply_thread_cap()
+
+import numpy as np  # noqa: E402
+
+from solgeo import __version__, cases, frames, liealg, solitons, zerocurv  # noqa: E402
+from solgeo import grid as sg  # noqa: E402
+from solgeo.errors import ConstraintError, DomainError, NumericalError  # noqa: E402
+
+TOL_ALGEBRAIC = 1e-13
+TOL_ANALYTIC = 1e-10
+RATIO_WINDOW = (3.5, 4.5)
 
 
 def _check_entry(name, norms, tol, extra=None):
@@ -338,30 +343,51 @@ def _build_parser():
     f.add_argument("--h", type=float, default=0.01)
     f.add_argument("--out", default=None)
     f.add_argument("--report", default=None)
-    return p
+    return p, sub.choices
+
+
+def _config_defaults(path, parsed):
+    """Flag defaults from a JSON object file, for the flags in parsed (the
+    subcommand's namespace as a dict).
+
+    Values are handed to argparse as command-line text, so each flag's
+    type= applies to them; null leaves an option unset, and a store_true
+    flag takes only true or false.
+    """
+    with open(path) as fh:
+        conf = json.load(fh)
+    if not isinstance(conf, dict):
+        raise ValueError("top level is not a JSON object")
+    out = {}
+    for key, val in conf.items():
+        dest = key.replace("-", "_")
+        if dest not in parsed or dest in ("config", "command"):
+            continue
+        if isinstance(parsed[dest], bool):
+            if not isinstance(val, bool):
+                raise ValueError(f"{key}: expected true or false")
+            out[dest] = val
+        else:
+            out[dest] = val if val is None else str(val)
+    return out
 
 
 def main(argv=None) -> int:
-    _apply_thread_cap()
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
     if args.config:
         try:
-            with open(args.config) as fh:
-                conf = json.load(fh)
-        except OSError as exc:
+            conf = _config_defaults(args.config, vars(args))
+        except (OSError, ValueError) as exc:
             print(f"solgeo: cannot read config: {exc}", file=sys.stderr)
             return 2
-        cli_argv = argv if argv is not None else sys.argv[1:]
-        given = {s.lstrip("-").replace("-", "_").split("=")[0]
-                 for s in cli_argv if s.startswith("--")}
-        for key, val in conf.items():
-            attr = key.replace("-", "_")
-            if hasattr(args, attr) and attr not in given:
-                setattr(args, attr, val)
+        # config values become the subcommand's defaults: explicit flags
+        # still win, and argparse converts or rejects them (exit 2)
+        commands[args.command].set_defaults(**conf)
+        args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
     try:
@@ -373,7 +399,7 @@ def main(argv=None) -> int:
             checks = cmd_case(args)
         else:
             checks = cmd_frame(args)
-    except (DomainError, NumericalError) as exc:
+    except (DomainError, NumericalError, OSError) as exc:
         print(f"solgeo: {exc}", file=sys.stderr)
         return 2
     except ConstraintError as exc:
@@ -382,8 +408,12 @@ def main(argv=None) -> int:
     timing = {"wall_s": time.perf_counter() - t0}
     config = {k: v for k, v in vars(args).items()
               if k not in ("config", "report") and v is not None}
-    report = _write_report(args.report, config, checks,
-                           getattr(args, "seed", 0), timing)
+    try:
+        report = _write_report(args.report, config, checks,
+                               getattr(args, "seed", 0), timing)
+    except OSError as exc:
+        print(f"solgeo: cannot write report: {exc}", file=sys.stderr)
+        return 2
     return 0 if report["passed"] else 1
 
 

@@ -12,7 +12,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from solgeo.errors import DomainError
 
@@ -162,16 +161,21 @@ def partial_data(data: np.ndarray, grid: GridSpec, axis_name: str,
 def antider_x(field):
     """Antiderivative along x: cumulative trapezoid, zero on the x-minimum
     plane (gauge convention)."""
-    ax_i = field.grid.index("x")
-    h = field.grid.axes[ax_i].h
-    d = cumulative_trapezoid(field.data, dx=h, axis=ax_i, initial=0.0)
-    return replace(field, data=d)
+    return replace(field, data=antider_x_data(field.data, field.grid))
 
 
 def antider_x_data(data: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """antider_x on a bare array whose leading axes follow grid.  The
+    operation order (h * (y[i+1] + y[i]) / 2, then a running sum) matches
+    scipy's cumulative_trapezoid bit for bit."""
     ax_i = grid.index("x")
     h = grid.axes[ax_i].h
-    return cumulative_trapezoid(data, dx=h, axis=ax_i, initial=0.0)
+    data = np.asarray(data)
+    y = np.moveaxis(data, ax_i, 0)
+    steps = h * (y[1:] + y[:-1]) / 2.0
+    out = np.zeros(data.shape, dtype=steps.dtype)
+    np.cumsum(steps, axis=0, out=np.moveaxis(out, ax_i, 0)[1:])
+    return out
 
 
 M_KINDS = ("M1", "M2", "M2Ish")

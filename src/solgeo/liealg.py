@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from solgeo.errors import ConstraintError, DomainError
 
@@ -116,6 +115,9 @@ def _expm_batch(gens: np.ndarray) -> np.ndarray:
         r[zero] = np.eye(3)
         out[skew] = r
     if not skew.all():
+        # imported here so that only callers with a non-skew generator pay
+        # for scipy; called through the module so a patched expm is seen
+        import scipy.linalg
         out[~skew] = scipy.linalg.expm(gens[~skew])
     return out
 

@@ -1,14 +1,30 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import solgeo
 from solgeo import cli
 from solgeo import grid as sg
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(solgeo.__file__)))
 
 
 def run(argv):
     return cli.main(argv)
+
+
+def fresh_python(args, env=None):
+    """Run a new interpreter with solgeo importable; the in-process tests
+    cannot show import-time behaviour once numpy and scipy are loaded."""
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
 
 
 def load_report(path):
@@ -177,9 +193,89 @@ def test_config_file_missing():
     assert run(["--config", "/nonexistent.json", "check"]) == 2
 
 
+def test_config_string_values_get_flag_types(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"n": "8", "omega_scale": 1}))
+    rp = tmp_path / "r.json"
+    assert run(["--config", str(conf), "check", "--eq", "zi",
+                "--case", "planewave-zi", "--report", str(rp)]) == 0
+    config = load_report(rp)["config"]
+    assert config["n"] == 8 and config["omega_scale"] == 1.0
+
+
+@pytest.mark.parametrize("text", ['{"n": "eight"}', '{"n": 8.5}',
+                                  '{"n": true}'])
+def test_config_bad_flag_value_is_usage_error(tmp_path, capsys, text):
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        run(["--config", str(conf), "check", "--eq", "zi",
+             "--case", "planewave-zi"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "invalid int value" in err
+
+
+@pytest.mark.parametrize("text", ['{"n": 8', '[1, 2]',
+                                  '{"perturb": "false"}'])
+def test_config_unusable_file_is_usage_error(tmp_path, capsys, text):
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    assert run(["--config", str(conf), "check", "--kind", "lax",
+                "--refine", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "cannot read config" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--eq", "zi", "--case", "planewave-zi",
+     "--report", "/nonexistent/x.json"],
+    ["surface", "--case", "cylinder", "--n", "9",
+     "--out", "/nonexistent/x.obj"],
+])
+def test_unwritable_output_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("solgeo:")
+
+
 def test_thread_cap_env(monkeypatch):
     monkeypatch.setenv("SOLGEO_THREADS", "2")
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cli._apply_thread_cap()
-    import os
     assert os.environ["OMP_NUM_THREADS"] == "2"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="needs /proc/self/status")
+def test_thread_cap_applies_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["SOLGEO_THREADS"] = "1"
+    code = ("import solgeo.cli\n"
+            "for line in open('/proc/self/status'):\n"
+            "    if line.startswith('Threads:'):\n"
+            "        print(line.split()[1])\n")
+    proc = fresh_python(["-c", code], env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["1"]
+
+
+def test_import_loads_no_scipy():
+    code = ("import sys, solgeo.cli\n"
+            "print([m for m in sys.modules\n"
+            "       if m == 'scipy' or m.startswith('scipy.')])\n")
+    proc = fresh_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("argv", [
+    ["frame", "--beta", "-1", "--n", "50"],
+    ["surface", "--case", "sphere-patch", "--n", "17"],
+])
+def test_non_skew_commands_load_scipy_lazily(argv):
+    # these commands meet non-skew generators, the only scipy path
+    proc = fresh_python(["-m", "solgeo.cli", *argv])
+    assert proc.returncode == 0, proc.stderr

@@ -117,6 +117,22 @@ def test_antider_x_zero_at_origin_plane():
     assert np.abs(out[0, :]).max() == 0
 
 
+@pytest.mark.parametrize("complex_data", [False, True])
+@pytest.mark.parametrize("names", [("x", "y", "t"), ("y", "x", "t")])
+def test_antider_x_bit_identical_to_scipy(names, complex_data):
+    from scipy.integrate import cumulative_trapezoid
+
+    g = sg.GridSpec.make(*(sg.Axis(nm, 17, 0.13) for nm in names))
+    rng = np.random.default_rng(5)
+    d = rng.standard_normal(g.shape)
+    if complex_data:
+        d = d + 1j * rng.standard_normal(g.shape)
+    ix = g.index("x")
+    expect = cumulative_trapezoid(d, dx=0.13, axis=ix, initial=0.0)
+    assert np.array_equal(sg.antider_x_data(d, g), expect)
+    assert np.array_equal(sg.antider_x(sg.ScalarField(g, d)).data, expect)
+
+
 def test_apply_M_polynomial_oracle():
     # on f = x^2 + x y + y^2 every second derivative is constant, so both
     # operators reduce to exact linear combinations
