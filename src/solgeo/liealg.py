@@ -87,13 +87,51 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x @ y - y @ x
 
 
+# [13/13] Pade approximant of exp: theta_13 and the numerator coefficients
+# b_0 ... b_13 (Higham, "The scaling and squaring method for the matrix
+# exponential revisited", SIMAX 2005, Algorithm 2.3)
+_THETA_13 = 5.371920351148152
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0,
+            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+            960960.0, 16380.0, 182.0, 1.0)
+
+
+def _pade_expm(a: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of a finite stack (n, k, k) by scaling and
+    squaring with the [13/13] Pade approximant.
+
+    Each matrix gets its own scaling s = max(0, ceil(log2(|A|_1 / theta_13)))
+    and is squared s times, so its result does not depend on the rest of
+    the stack.
+    """
+    b = _PADE_13
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore"):
+        s = np.maximum(0, np.ceil(np.log2(norm / _THETA_13))).astype(int)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        sq = s > k
+        r[sq] = r[sq] @ r[sq]
+    return r
+
+
 def _expm_batch(gens: np.ndarray) -> np.ndarray:
     """Matrix exponentials of a stack of generators (..., k, k).
 
     Each 3x3 generator with |m + m^T| <= 1e-14 goes through the
     closed-form axis-angle (Rodrigues) formula, so the result is orthogonal
-    to rounding; all others go through one batched scaling-and-squaring
-    call.
+    to rounding; all others go through one batched Pade scaling and
+    squaring (`_pade_expm`).
     """
     gens = np.asarray(gens, dtype=float)
     if not np.all(np.isfinite(gens)):
@@ -115,10 +153,7 @@ def _expm_batch(gens: np.ndarray) -> np.ndarray:
         r[zero] = np.eye(3)
         out[skew] = r
     if not skew.all():
-        # imported here so that only callers with a non-skew generator pay
-        # for scipy; called through the module so a patched expm is seen
-        import scipy.linalg
-        out[~skew] = scipy.linalg.expm(gens[~skew])
+        out[~skew] = _pade_expm(gens[~skew])
     return out
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import solgeo
-from solgeo import cli
+from solgeo import cli, frames
 from solgeo import grid as sg
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(solgeo.__file__)))
@@ -174,6 +174,48 @@ def test_frame_command(tmp_path):
     assert rep["checks"][0]["max"] <= 1e-12
 
 
+def test_frame_pseudo_orthogonal_gate_is_finite(tmp_path):
+    # beta = -1 with sigma = 0 keeps E eta E^T = eta, so the drift is gated
+    rp = tmp_path / "r.json"
+    assert run(["frame", "--beta", "-1", "--sigma", "0", "--n", "400",
+                "--report", str(rp)]) == 0
+    rep = load_report(rp)
+    c = rep["checks"][0]
+    assert rep["passed"] is True and c["passed"] is True
+    assert np.isfinite(c["tol"]) and c["max"] <= c["tol"]
+    assert "informational" not in c
+
+
+def test_frame_pseudo_orthogonal_gate_can_fail(tmp_path, monkeypatch):
+    propagate = frames.propagate_frenet
+
+    def perturbed(*args, **kwargs):
+        field = propagate(*args, **kwargs)
+        data = field.data.copy()
+        data[-1, 0, 0] += 1e-6
+        return frames.FrameField(field.grid, data, field.beta)
+
+    monkeypatch.setattr(frames, "propagate_frenet", perturbed)
+    rp = tmp_path / "r.json"
+    assert run(["frame", "--beta", "-1", "--sigma", "0", "--n", "50",
+                "--report", str(rp)]) == 1
+    rep = load_report(rp)
+    assert rep["passed"] is False and rep["checks"][0]["passed"] is False
+
+
+def test_frame_sigma_drift_is_informational(tmp_path):
+    # sigma != 0 breaks the invariant at beta = -1: the drift is reported
+    # but neither passes nor fails the run
+    rp = tmp_path / "r.json"
+    assert run(["frame", "--beta", "-1", "--sigma", "0.3",
+                "--report", str(rp)]) == 0
+    rep = load_report(rp)
+    c = rep["checks"][0]
+    assert c["informational"] is True and c["max"] > 1.0
+    assert "passed" not in c and "tol" not in c
+    assert rep["passed"] is True
+
+
 def test_config_file_merge_and_flag_priority(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"eq": "m3q", "case": "zi-reduction",
@@ -225,6 +267,35 @@ def test_config_unusable_file_is_usage_error(tmp_path, capsys, text):
                 "--refine", "2"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "cannot read config" in err
+
+
+@pytest.mark.parametrize("text, argv, message", [
+    ('{"kind": "bogus"}', ["check", "--eq", "zi", "--case", "planewave-zi"],
+     "kind: invalid choice 'bogus'"),
+    ('{"beta": 2}', ["frame", "--n", "20"], "beta: invalid choice 2"),
+])
+def test_config_value_outside_choices_is_usage_error(tmp_path, capsys,
+                                                     text, argv, message):
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    assert run(["--config", str(conf), *argv]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("solgeo:") and message in captured.err
+    assert captured.out == ""
+
+
+def test_config_value_inside_choices_runs(tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"kind": "lambda"}))
+    rp = tmp_path / "r.json"
+    assert run(["--config", str(conf), "check", "--eq", "zi",
+                "--case", "planewave-zi", "--n", "8", "--refine", "2",
+                "--report", str(rp)]) == 0
+    rep = load_report(rp)
+    assert rep["config"]["kind"] == "lambda"
+    assert [c["name"] for c in rep["checks"]] == [
+        f"lambda-set{i}-refinement" for i in range(3)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,3 +350,20 @@ def test_non_skew_commands_load_scipy_lazily(argv):
     # these commands meet non-skew generators, the only scipy path
     proc = fresh_python(["-m", "solgeo.cli", *argv])
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["frame", "--beta", "-1", "--n", "50"],
+    ["surface", "--case", "sphere-patch", "--n", "17"],
+])
+def test_non_skew_commands_run_without_scipy(argv):
+    # the non-skew exponential is numpy's own: no scipy module may load
+    code = ("import contextlib, io, sys\n"
+            "from solgeo import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main({argv!r})\n"
+            "print(code, [m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')])\n")
+    proc = fresh_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"

@@ -115,6 +115,81 @@ def test_expm_generic_matches_series():
     assert np.abs(out - acc).max() < 1e-12
 
 
+def _with_norm(a, norm):
+    """a rescaled to 1-norm (max column sum) norm."""
+    return a * (norm / np.abs(a).sum(axis=0).max())
+
+
+def _series(m, terms=20):
+    acc = np.eye(3)
+    term = np.eye(3)
+    for k in range(1, terms):
+        term = term @ m / k
+        acc = acc + term
+    return acc
+
+
+@pytest.mark.parametrize("norm", [1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0])
+def test_expm_unscaled_matches_scipy_and_series(norm):
+    from scipy.linalg import expm as scipy_expm
+
+    rng = np.random.default_rng(6)
+    for _ in range(5):
+        m = _with_norm(rng.normal(size=(3, 3)), norm)
+        out = liealg.expm(m)
+        for ref in (scipy_expm(m), _series(m)):
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("norm", [5.0, 10.0, 20.0, 50.0])
+def test_expm_scaling_and_squaring(norm):
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        m = _with_norm(rng.normal(size=(3, 3)), norm)
+        e, einv = liealg.expm(m), liealg.expm(-m)
+        size = np.abs(e).max() * np.abs(einv).max()
+        assert np.abs(e @ einv - np.eye(3)).max() <= 1e-12 * size
+        e2 = liealg.expm(2.0 * m)
+        assert np.abs(e2 - e @ e).max() <= 1e-12 * np.abs(e2).max()
+
+
+def test_expm_diagonal_is_exp_of_diagonal():
+    rng = np.random.default_rng(8)
+    for _ in range(10):
+        d = rng.uniform(-10.0, 10.0, 3)
+        out = liealg.expm(np.diag(d))
+        assert np.abs(np.diag(out) / np.exp(d) - 1.0).max() <= 1e-13
+        assert np.all(out[~np.eye(3, dtype=bool)] == 0.0)
+
+
+def test_expm_batch_matches_single_matrix_calls():
+    # each result depends on its own matrix only, whatever shares the stack
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(3, 3))
+    stack = np.array([
+        0.3 * (a - a.T),
+        np.zeros((3, 3)),
+        1e-12 * rng.normal(size=(3, 3)),
+        _with_norm(rng.normal(size=(3, 3)), 40.0),
+        0.02 * liealg.skew_matrix(liealg.CoeffTriple.x(0.8, 0.3, 0.0), -1),
+        _with_norm(rng.normal(size=(3, 3)), 7.0),
+        np.diag([3.0, -2.0, 0.5]),
+    ])
+    got = liealg._expm_batch(stack)
+    assert np.array_equal(got, [liealg.expm(m) for m in stack])
+    assert np.array_equal(liealg._expm_batch(stack[::-1]), got[::-1])
+
+
+@pytest.mark.parametrize("h", [0.001, 0.01, 0.05])
+def test_expm_pseudo_orthogonal_step_keeps_eta(h):
+    eta = np.diag([-1.0, 1.0, 1.0])
+    rng = np.random.default_rng(10)
+    for k, tau in rng.uniform(-2.0, 2.0, (5, 2)):
+        m = liealg.skew_matrix(liealg.CoeffTriple.x(k, tau, 0.0), -1)
+        e = liealg.expm(h * m)
+        assert np.abs(e @ eta @ e.T - eta).max() <= 1e-15
+
+
 def _mixed_generators(rng, n):
     """Step generators cycling through the three exponential cases: skew
     (Rodrigues), pseudo-orthogonal beta = -1 with sigma = 0 (scaling and
