@@ -9,56 +9,17 @@ Lax evolution should beat 8 per halving.
 
 import argparse
 
-import numpy as np
-
-from solgeo import cases, solitons, zerocurv
+from solgeo import cases, solitons
 from solgeo import grid as sg
 
 
-def flat_connection_study(levels, n0):
-    print("flat-connection zero-curvature residual")
-    print(f"{'n':>6} {'max residual':>14} {'ratio':>8}")
-    prev = None
-    for lv in range(levels):
-        n = n0 * 2**lv + 1
-        conn = cases.pure_gauge_connection(cases.default_grid_gauge(n))
-        res = zerocurv.zc_residual("mlxii", conn)
-        worst = max(float(np.abs(r).max()) for r in res.values())
-        ratio = f"{prev / worst:8.2f}" if prev else "       -"
-        print(f"{n:>6} {worst:>14.3e} {ratio}")
-        prev = worst
-    print()
-
-
-def lambda_study(levels, n0):
-    params = {"n1": 1.0, "n3": 0.0, "m1": 0.0, "n4": 1.0}
-    print(f"spectral-parameter residual, params {params}")
-    print(f"{'n':>6} {'masked max':>14} {'ratio':>8}")
-    prev = None
-    for lv in range(levels):
-        n = n0 * 2**lv
-        h = 0.35 / (n - 1)
-        g = sg.GridSpec.make(*(sg.Axis(f"xi{i}", n, h) for i in (1, 2, 3, 4)))
-        f = zerocurv.lambda_field("sdym_xi", params, g)
-        res = zerocurv.lambda_residual(f)
-        mask = res.pop("mask")
-        worst = max(zerocurv.masked_norms(r, mask)["max"]
-                    for r in res.values())
-        ratio = f"{prev / worst:8.2f}" if prev else "       -"
-        print(f"{n:>6} {worst:>14.3e} {ratio}")
-        prev = worst
-    print()
-
-
-def lax_study(levels):
-    pw = cases.planewave("zi")
-    rep = solitons.lax_refinement_report("zi", pw["callables"], {"lam": 0.3},
-                                         levels=levels)
-    print("plane-wave Lax commutation defect")
-    print(f"{'level':>6} {'defect':>14} {'ratio':>8}")
-    for i, d in enumerate(rep["defects"]):
-        ratio = f"{rep['ratios'][i-1]:8.2f}" if i else "       -"
-        print(f"{i:>6} {d:>14.3e} {ratio}")
+def print_study(title, column, sizes, study):
+    print(title)
+    print(f"{column:>6} {'defect':>14} {'ratio':>8}")
+    ratios = [None] + study["ratios"]
+    for size, defect, ratio in zip(sizes, study["defects"], ratios):
+        shown = "       -" if ratio is None else f"{ratio:8.2f}"
+        print(f"{size:>6} {defect:>14.3e} {shown}")
     print()
 
 
@@ -67,9 +28,26 @@ def main():
     ap.add_argument("--levels", type=int, default=3)
     ap.add_argument("--n0", type=int, default=8)
     args = ap.parse_args()
-    flat_connection_study(args.levels, args.n0)
-    lambda_study(args.levels, max(args.n0 - 2, 6))
-    lax_study(args.levels)
+    levels = range(args.levels)
+
+    sizes = [args.n0 * 2**lv + 1 for lv in levels]
+    print_study("flat-connection zero-curvature residual (max)", "n", sizes,
+                sg.refinement_study(
+                    lambda lv: cases.pure_gauge_defect("mlxii", sizes[lv]),
+                    args.levels))
+
+    params = cases.LAMBDA_PARAMS[0]
+    sizes = [max(args.n0 - 2, 6) * 2**lv for lv in levels]
+    print_study(f"spectral-parameter residual (masked max), params {params}",
+                "n", sizes,
+                sg.refinement_study(
+                    lambda lv: cases.lambda_defect(params, sizes[lv]),
+                    args.levels))
+
+    pw = cases.planewave("zi")
+    print_study("plane-wave Lax commutation defect", "level", list(levels),
+                solitons.lax_refinement_report(
+                    "zi", pw["callables"], {"lam": 0.3}, levels=args.levels))
 
 
 if __name__ == "__main__":

@@ -22,6 +22,14 @@ CASE_NAMES = ("planewave-ds", "planewave-zi", "planewave-strachan",
               "sphere-patch", "cylinder", "plane")
 
 
+def _points(n: int) -> int:
+    """n as the points per axis of a default grid, checked before any
+    spacing is divided by it."""
+    if n < 4:
+        raise DomainError(f"need n >= 4 grid points, got {n}")
+    return n
+
+
 # --- plane waves --------------------------------------------------------------
 
 def planewave(eq: str, k: float = 1.0, l: float = 2.0, v0: float = 1.0,
@@ -73,6 +81,7 @@ def planewave(eq: str, k: float = 1.0, l: float = 2.0, v0: float = 1.0,
 
 def default_grid_xyt(n: int = 24, length: float = 2 * np.pi,
                      periodic: bool = True) -> sg.GridSpec:
+    n = _points(n)
     return sg.GridSpec.make(
         sg.Axis("x", n, length / n, periodic=periodic),
         sg.Axis("y", n, length / n, periodic=periodic),
@@ -110,7 +119,7 @@ def _rot_z(phi):
 
 
 def default_grid_gauge(n: int = 16) -> sg.GridSpec:
-    h = 1.0 / (n - 1)
+    h = 1.0 / (_points(n) - 1)
     return sg.GridSpec.make(sg.Axis("x", n, h), sg.Axis("y", n, h),
                             sg.Axis("t", n, h))
 
@@ -159,22 +168,53 @@ def pure_gauge_connection(grid: sg.GridSpec | None = None,
     return out
 
 
+def pure_gauge_defect(system: str, n: int) -> float:
+    """Worst zero-curvature residual of the pure-gauge connection on the
+    default n^3 gauge grid; gmce takes the (A, B) pair alone."""
+    axes = ("x", "y") if system == "gmce" else ("x", "y", "t")
+    conn = pure_gauge_connection(default_grid_gauge(n), axes=axes)
+    res = zerocurv.zc_residual(system, conn)
+    return max(float(np.abs(r).max()) for r in res.values())
+
+
 # --- rational spectral parameter ----------------------------------------------
+
+# sdym_xi parameter sets; the first is lam = xi3 / (1 - xi1)
+LAMBDA_PARAMS = (
+    {"n1": 1.0, "n3": 0.0, "m1": 0.0, "n4": 1.0},
+    {"n1": 0.8, "n3": 0.4, "m1": 0.5, "n4": 1.3},
+    {"n1": -0.6, "n3": 1.0, "m1": 0.9, "n4": 1.1},
+)
+
+
+def default_grid_xi(n: int = 12) -> sg.GridSpec:
+    """n^4 open grid over (xi1, ..., xi4) in [0, 0.35]^4."""
+    h = 0.35 / (_points(n) - 1)
+    return sg.GridSpec.make(*(sg.Axis(f"xi{i}", n, h) for i in (1, 2, 3, 4)))
+
 
 def rational_lambda(params: dict | None = None,
                     grid: sg.GridSpec | None = None) -> zerocurv.SpectralField:
     if params is None:
-        params = {"n1": 1.0, "n3": 0.0, "m1": 0.0, "n4": 1.0}
+        params = LAMBDA_PARAMS[0]
     if grid is None:
-        n = 12
-        h = 0.35 / (n - 1)
-        grid = sg.GridSpec.make(*(sg.Axis(f"xi{i}", n, h) for i in (1, 2, 3, 4)))
+        grid = default_grid_xi()
     return zerocurv.lambda_field("sdym_xi", params, grid)
+
+
+def lambda_defect(params: dict, n: int) -> float:
+    """Worst masked residual of the sdym_xi spectral parameter with the
+    given parameters on the default n^4 xi-grid."""
+    res = zerocurv.lambda_residual(
+        zerocurv.lambda_field("sdym_xi", params, default_grid_xi(n)))
+    mask = res.pop("mask")
+    return max(zerocurv.masked_norms(r, mask)["max"] for r in res.values())
 
 
 # --- classical surfaces -------------------------------------------------------
 
 def _surface_grid(n: int, x0: float, x1: float, y0: float, y1: float):
+    n = _points(n)
     return sg.GridSpec.make(
         sg.Axis("x", n, (x1 - x0) / (n - 1), origin=x0),
         sg.Axis("y", n, (y1 - y0) / (n - 1), origin=y0),

@@ -1,5 +1,5 @@
-"""Regular-grid fields over 1-4 axes, finite differences, the x-antiderivative
-and the second-order M1/M2 operators.
+"""Regular-grid fields over 1-4 axes, finite differences on bare arrays, the
+x-antiderivative, field serialization and the refinement-study loop.
 
 Fields are immutable-by-convention wrappers around numpy arrays whose leading
 axes follow the GridSpec axis order; matrix-valued fields carry two trailing
@@ -142,17 +142,10 @@ def diff_axis(data: np.ndarray, axis: int, h: float, periodic: bool,
     return np.moveaxis(out, 0, axis)
 
 
-def partial(field, axis_name: str, accuracy: int = 2):
-    """Finite-difference partial derivative of a Scalar/MatrixField."""
-    ax_i = field.grid.index(axis_name)
-    ax = field.grid.axes[ax_i]
-    d = diff_axis(field.data, ax_i, ax.h, ax.periodic, accuracy)
-    return replace(field, data=d)
-
-
 def partial_data(data: np.ndarray, grid: GridSpec, axis_name: str,
                  accuracy: int = 2) -> np.ndarray:
-    """Same as partial() but on a bare array whose leading axes follow grid."""
+    """Finite-difference partial derivative along a named axis of a bare
+    array whose leading axes follow grid (Scalar- or MatrixField data)."""
     ax_i = grid.index(axis_name)
     ax = grid.axes[ax_i]
     return diff_axis(data, ax_i, ax.h, ax.periodic, accuracy)
@@ -176,33 +169,6 @@ def antider_x_data(data: np.ndarray, grid: GridSpec) -> np.ndarray:
     out = np.zeros(data.shape, dtype=steps.dtype)
     np.cumsum(steps, axis=0, out=np.moveaxis(out, ax_i, 0)[1:])
     return out
-
-
-M_KINDS = ("M1", "M2", "M2Ish")
-
-
-def apply_M(field, which: str, alpha: complex, a: float = 0.0, b: float = 0.0,
-            accuracy: int = 2):
-    """Second-order operators of the spin systems:
-
-    M1 f = alpha^2 f_yy + 4 alpha (b - a) f_xy + 4 (a^2 - 2ab - b) f_xx
-    M2 f = alpha^2 f_yy - 2 alpha (2a + 1) f_xy + 4 a (a + 1) f_xx
-    M2Ish = M2 at a = b = -1/2.
-    """
-    if which not in M_KINDS:
-        raise DomainError(f"unknown operator {which!r}")
-    if which == "M2Ish":
-        a = b = -0.5
-        which = "M2"
-    fx = partial(field, "x", accuracy)
-    fxx = partial(fx, "x", accuracy).data
-    fxy = partial(fx, "y", accuracy).data
-    fyy = partial(partial(field, "y", accuracy), "y", accuracy).data
-    if which == "M1":
-        out = alpha**2 * fyy + 4 * alpha * (b - a) * fxy + 4 * (a * a - 2 * a * b - b) * fxx
-    else:
-        out = alpha**2 * fyy - 2 * alpha * (2 * a + 1) * fxy + 4 * a * (a + 1) * fxx
-    return replace(field, data=out)
 
 
 # --- serialization -----------------------------------------------------------
@@ -283,3 +249,13 @@ def field_norms(data: np.ndarray):
         "l2": float(np.sqrt(np.mean(mag**2))),
         "argmax": [int(i) for i in loc],
     }
+
+
+def refinement_study(defect, levels: int) -> dict:
+    """Defects defect(0) ... defect(levels - 1) of a grid-refinement study
+    and the ratio of each level's defect to the next one's (inf when the
+    next defect is zero)."""
+    defects = [defect(lv) for lv in range(levels)]
+    ratios = [d0 / d1 if d1 > 0 else float("inf")
+              for d0, d1 in zip(defects, defects[1:])]
+    return {"defects": defects, "ratios": ratios}

@@ -18,7 +18,8 @@ ROLE_X = "X"  # (k, tau, sigma)
 ROLE_Y = "Y"  # (m1, m2, m3)
 ROLE_T = "T"  # (w1, w2, w3)
 
-_SPIN_TOL = 1e-10
+# worst pointwise defect of the spin constraint that spin_matrix accepts
+_SPIN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -125,13 +126,13 @@ def _pade_expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _expm_batch(gens: np.ndarray) -> np.ndarray:
-    """Matrix exponentials of a stack of generators (..., k, k).
+def expm(gens: np.ndarray) -> np.ndarray:
+    """Matrix exponentials of one generator (k, k) or of a stack (..., k, k).
 
     Each 3x3 generator with |m + m^T| <= 1e-14 goes through the
     closed-form axis-angle (Rodrigues) formula, so the result is orthogonal
     to rounding; all others go through one batched Pade scaling and
-    squaring (`_pade_expm`).
+    squaring (`_pade_expm`).  Each result depends on its own matrix only.
     """
     gens = np.asarray(gens, dtype=float)
     if not np.all(np.isfinite(gens)):
@@ -157,12 +158,6 @@ def _expm_batch(gens: np.ndarray) -> np.ndarray:
     return out
 
 
-def expm(m: np.ndarray) -> np.ndarray:
-    """Matrix exponential of one generator: the single-matrix case of the
-    batched exponential behind `transport`."""
-    return _expm_batch(m)
-
-
 def transport(gens: np.ndarray, start: np.ndarray) -> np.ndarray:
     """Lie-group transport of a frame through a sequence of step generators.
 
@@ -172,7 +167,7 @@ def transport(gens: np.ndarray, start: np.ndarray) -> np.ndarray:
     F[..., i+1, :, :] = expm(gens[..., i, :, :]) @ F[..., i, :, :].
     All exponentials are taken in one batch; only the product chain loops.
     """
-    steps = _expm_batch(gens)
+    steps = expm(gens)
     start = np.asarray(start, dtype=float)
     lead = np.broadcast_shapes(steps.shape[:-3], start.shape[:-2])
     n = steps.shape[-3]
@@ -183,9 +178,10 @@ def transport(gens: np.ndarray, start: np.ndarray) -> np.ndarray:
     return out
 
 
-def spin_matrix(s1: float, s2: float, s3: float, r2: int = 1) -> np.ndarray:
-    """2x2 spin matrix [[S3, S-], [S+, -S3]] subject to the pseudo-unit
-    constraint S3^2 + r2*(S1^2 + S2^2) = 1.
+def spin_matrix(S: np.ndarray, r2: int = 1) -> np.ndarray:
+    """2x2 spin matrices [[S3, S-], [S+, -S3]] of spin vectors S (..., 3),
+    subject to the pseudo-unit constraint S3^2 + r2*(S1^2 + S2^2) = 1 at
+    every point.
 
     r2 is the sign of the quadratic form, never an imaginary entry: for
     r2 = -1 the off-diagonal pair is (S-, -S+) so that the determinant is
@@ -193,26 +189,11 @@ def spin_matrix(s1: float, s2: float, s3: float, r2: int = 1) -> np.ndarray:
     """
     if r2 not in (1, -1):
         raise DomainError("r2 must be +1 or -1")
-    defect = abs(s3 * s3 + r2 * (s1 * s1 + s2 * s2) - 1.0)
-    if defect > _SPIN_TOL:
-        raise ConstraintError(
-            f"spin constraint violated, defect {defect:.3e}", defect=defect
-        )
-    sp = s1 + 1j * s2
-    sm = s1 - 1j * s2
-    if r2 == 1:
-        return np.array([[s3, sm], [sp, -s3]], dtype=complex)
-    return np.array([[s3, sm], [-sp, -s3]], dtype=complex)
-
-
-def spin_matrix_field(S: np.ndarray, r2: int = 1, tol: float = 1e-8) -> np.ndarray:
-    """Vectorized spin matrix over a grid: S has shape (..., 3)."""
-    if r2 not in (1, -1):
-        raise DomainError("r2 must be +1 or -1")
+    S = np.asarray(S)
     s1, s2, s3 = S[..., 0], S[..., 1], S[..., 2]
     defect = np.abs(s3 * s3 + r2 * (s1 * s1 + s2 * s2) - 1.0)
     worst = float(defect.max())
-    if worst > tol:
+    if worst > _SPIN_TOL:
         raise ConstraintError(
             f"spin constraint violated, worst defect {worst:.3e}", defect=worst
         )

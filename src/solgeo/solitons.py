@@ -89,6 +89,8 @@ def _ops(grid, mode, accuracy):
 
 
 def _m1_op(ops, f, alpha, a, b):
+    """M1 f = alpha^2 f_yy + 4 alpha (b - a) f_xy + 4 (a^2 - 2ab - b) f_xx,
+    with the derivatives of the backend ops."""
     dx = lambda g: ops.d(g, "x")
     dy = lambda g: ops.d(g, "y")
     return (alpha**2 * dy(dy(f)) + 4 * alpha * (b - a) * dy(dx(f))
@@ -96,6 +98,8 @@ def _m1_op(ops, f, alpha, a, b):
 
 
 def _m2_op(ops, f, alpha, a, b):
+    """M2 f = alpha^2 f_yy - 2 alpha (2a + 1) f_xy + 4 a (a + 1) f_xx; the
+    isotropic (Ishimori) operator is M2 at a = b = -1/2."""
     dx = lambda g: ops.d(g, "x")
     dy = lambda g: ops.d(g, "y")
     return (alpha**2 * dy(dy(f)) - 2 * alpha * (2 * a + 1) * dy(dx(f))
@@ -112,11 +116,20 @@ def _dot(a, b):
     return np.sum(a * b, axis=-1)
 
 
-def _sd(S, grid, axis, accuracy):
-    return sg.partial_data(S, grid, axis, accuracy)
-
-
 # --- residuals ---------------------------------------------------------------
+
+def _unpack(fields: dict, grid):
+    """Fields with a ComplexPair under "pair" or a Spin under "spin" spread
+    into named entries, and the grid they live on (the container's grid
+    wins over `grid`)."""
+    for key, names in (("pair", ("q", "p", "v", "v1", "v2")),
+                       ("spin", ("S", "u", "w", "r2"))):
+        if key in fields:
+            grid = fields[key].grid
+            fields = {**fields,
+                      **{n: getattr(fields[key], n) for n in names}}
+    return fields, grid
+
 
 def pde_residual(eq: str, fields: dict, params: dict | None = None,
                  mode: str = "fd", accuracy: int = 2, grid=None) -> dict:
@@ -128,16 +141,7 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
     exact, so a residual reflects transcription alone.
     """
     params = params or {}
-    if "pair" in fields:
-        pair = fields["pair"]
-        grid = pair.grid
-        fields = {**fields, "q": pair.q, "p": pair.p, "v": pair.v,
-                  "v1": pair.v1, "v2": pair.v2}
-    if "spin" in fields:
-        sp = fields["spin"]
-        grid = sp.grid
-        fields = {**fields, "S": sp.S, "u": sp.u, "w": sp.w,
-                  "r2": sp.r2}
+    fields, grid = _unpack(fields, grid)
     if grid is None:
         raise DomainError("grid required")
     ops = _ops(grid, mode, accuracy)
@@ -212,18 +216,12 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
 
     if eq == "ishimori":
         S, u = fields["S"], fields["u"]
-        Sx = _sd(S, grid, "x", accuracy)
-        Sy = _sd(S, grid, "y", accuracy)
-        St = _sd(S, grid, "t", accuracy)
-        Sxx = _sd(Sx, grid, "x", accuracy)
-        Syy = _sd(Sy, grid, "y", accuracy)
-        ux = sg.partial_data(u, grid, "x", accuracy)
-        uy = sg.partial_data(u, grid, "y", accuracy)
+        Sx, Sy, St = d(S, "x"), d(S, "y"), d(S, "t")
+        ux, uy = d(u, "x"), d(u, "y")
         a2 = alpha**2
-        r1 = St - _cross(S, Sxx + a2 * Syy) - ux[..., None] * Sy - uy[..., None] * Sx
-        r2 = (sg.partial_data(ux, grid, "x", accuracy)
-              - a2 * sg.partial_data(uy, grid, "y", accuracy)
-              + 2 * a2 * _dot(S, _cross(Sx, Sy)))
+        r1 = (St - _cross(S, d(Sx, "x") + a2 * d(Sy, "y"))
+              - ux[..., None] * Sy - uy[..., None] * Sx)
+        r2 = d(ux, "x") - a2 * d(uy, "y") + 2 * a2 * _dot(S, _cross(Sx, Sy))
         return {"S": r1, "u": r2}
 
     if eq == "mix":
@@ -232,46 +230,33 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
         b = params.get("b", -0.5)
         coeffs = mix_coefficient_ops(u, params, grid, accuracy)
         A1, A2 = coeffs["A1"], coeffs["A2"]
-        Sx = _sd(S, grid, "x", accuracy)
-        Sy = _sd(S, grid, "y", accuracy)
-        St = _sd(S, grid, "t", accuracy)
-        m1S = np.stack(
-            [_m1_op(FDOps(grid, accuracy), S[..., i], alpha, a, b)
-             for i in range(3)], axis=-1)
+        Sx, Sy, St = d(S, "x"), d(S, "y"), d(S, "t")
+        m1S = np.stack([_m1_op(ops, S[..., i], alpha, a, b)
+                        for i in range(3)], axis=-1)
         r1 = St - _cross(S, m1S) - A2[..., None] * Sx - A1[..., None] * Sy
-        r2 = (_m2_op(FDOps(grid, accuracy), u, alpha, a, b)
+        r2 = (_m2_op(ops, u, alpha, a, b)
               - 2 * alpha**2 * _dot(S, _cross(Sx, Sy)))
         return {"S": r1, "u": r2}
 
     if eq in ("mviii", "mxxxiv"):
         S, w = fields["S"], fields["w"]
-        Sy = _sd(S, grid, "y", accuracy)
-        Syy = _sd(Sy, grid, "y", accuracy)
-        St = _sd(S, grid, "t", accuracy)
-        r1 = St - _cross(S, Syy) - w[..., None] * Sy
+        Sy = d(S, "y")
+        r1 = d(S, "t") - _cross(S, d(Sy, "y")) - w[..., None] * Sy
         if eq == "mviii":
-            Sx = _sd(S, grid, "x", accuracy)
-            r2 = (sg.partial_data(w, grid, "x", accuracy)
-                  + sg.partial_data(w, grid, "y", accuracy)
-                  + _dot(S, _cross(Sx, Sy)))
+            r2 = d(w, "x") + d(w, "y") + _dot(S, _cross(d(S, "x"), Sy))
         else:
-            sy2 = _dot(Sy, Sy)
-            r2 = (sg.partial_data(w, grid, "t", accuracy)
-                  + sg.partial_data(w, grid, "y", accuracy)
-                  + 0.5 * sg.partial_data(sy2, grid, "y", accuracy))
+            r2 = d(w, "t") + d(w, "y") + 0.5 * d(_dot(Sy, Sy), "y")
         return {"S": r1, "w": r2}
 
     if eq == "mi":
         S, u = fields["S"], fields["u"]
         r2sign = int(fields.get("r2", params.get("r2", 1)))
-        Sm = liealg.spin_matrix_field(S, r2sign)
-        Sy = sg.partial_data(Sm, grid, "y", accuracy)
-        St = sg.partial_data(Sm, grid, "t", accuracy)
-        Sx = sg.partial_data(Sm, grid, "x", accuracy)
+        Sm = liealg.spin_matrix(S, r2sign)
+        Sx, Sy = d(Sm, "x"), d(Sm, "y")
         inner = liealg.commutator(Sm, Sy) + 2j * u[..., None, None] * Sm
-        r1 = 1j * St - sg.partial_data(inner, grid, "x", accuracy)
+        r1 = 1j * d(Sm, "t") - d(inner, "x")
         tr = np.trace(Sm @ liealg.commutator(Sx, Sy), axis1=-2, axis2=-1)
-        r2 = sg.partial_data(u, grid, "x", accuracy) - 0.5j * tr
+        r2 = d(u, "x") - 0.5j * tr
         return {"S": r1, "u": r2}
 
     raise DomainError(f"unknown equation id {eq!r}")
@@ -291,14 +276,7 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
     constant-coefficient first-order operators (zero-mean gauge).
     """
     params = params or {}
-    if "pair" in fields:
-        pair = fields["pair"]
-        grid = pair.grid
-        fields = {**fields, "q": pair.q, "p": pair.p, "v": pair.v}
-    if "spin" in fields:
-        sp = fields["spin"]
-        grid = sp.grid
-        fields = {**fields, "S": sp.S, "u": sp.u, "r2": sp.r2}
+    fields, grid = _unpack(fields, grid)
 
     if eq == "zi":
         q, p, v = fields["q"], fields["p"], fields["v"]
@@ -419,15 +397,18 @@ def _solve_first_order(pq, grid, cx, cy, rx, ry):
 # --- commutation defect for the linear problems ------------------------------
 
 def _rk4(f, y, s, ds, nsteps):
-    for _ in range(nsteps):
+    for step in range(nsteps):
         k1 = f(s, y)
         k2 = f(s + ds / 2, y + ds / 2 * k1)
         k3 = f(s + ds / 2, y + ds / 2 * k2)
         k4 = f(s + ds, y + ds * k3)
         y = y + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         s = s + ds
-        if np.abs(y).max() > 1e6:
-            raise NumericalError("linear-problem evolution blew up")
+        norm = np.abs(y).max()
+        if norm > 1e6:
+            raise NumericalError(
+                f"linear-problem evolution blew up at step {step} of "
+                f"{nsteps}: max |g| = {norm:.3e} > 1e6")
     return y
 
 
@@ -597,14 +578,10 @@ def lax_refinement_report(eq, fields, params, levels=3, n_line=16,
                           substeps=4, cell=(0.2, 0.2)) -> dict:
     """Defect across refinement levels (line resolution and step count both
     double per level; the cell stays fixed)."""
-    defects = []
-    for lv in range(levels):
-        defects.append(lax_commutation_defect(
+    return sg.refinement_study(
+        lambda lv: lax_commutation_defect(
             eq, fields, params, n_line=n_line * 2**lv,
-            substeps=substeps * 2**lv, cell=cell))
-    ratios = [defects[i] / defects[i + 1] if defects[i + 1] > 0 else float("inf")
-              for i in range(levels - 1)]
-    return {"defects": defects, "ratios": ratios}
+            substeps=substeps * 2**lv, cell=cell), levels)
 
 
 # --- spin <-> soliton coefficient maps ---------------------------------------

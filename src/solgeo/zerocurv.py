@@ -14,10 +14,6 @@ from solgeo.errors import DomainError
 from solgeo.liealg import commutator
 
 
-def _d(field: sg.MatrixField, axis: str, accuracy: int = 2) -> np.ndarray:
-    return sg.partial_data(field.data, field.grid, axis, accuracy)
-
-
 def _check_conn(conn: dict, names) -> sg.GridSpec:
     missing = [n for n in names if n not in conn]
     if missing:
@@ -37,7 +33,8 @@ def zc_residual(system: str, conn: dict, params: dict | None = None,
     mlxx4d {A,B,C,D}; mlxx4d_scalar {B,D} (params a, b); sdym4d {A1..A4}.
     """
     params = params or {}
-    d = lambda name, ax: _d(conn[name], ax, accuracy)
+    d = lambda name, ax: sg.partial_data(conn[name].data, conn[name].grid,
+                                         ax, accuracy)
     c = lambda x, y: commutator(conn[x].data, conn[y].data)
 
     if system == "gmce":

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import solgeo
 from solgeo import cli, frames
@@ -214,6 +218,121 @@ def test_frame_sigma_drift_is_informational(tmp_path):
     assert c["informational"] is True and c["max"] > 1.0
     assert "passed" not in c and "tol" not in c
     assert rep["passed"] is True
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_frame_sigma_run_gates_finite_frames(tmp_path, monkeypatch):
+    rp = tmp_path / "r.json"
+    assert run(["frame", "--beta", "-1", "--sigma", "0.3", "--n", "50",
+                "--report", str(rp)]) == 0
+    finite = load_report(rp)["checks"][1]
+    assert finite["name"] == "frame-finite" and finite["passed"] is True
+    assert "informational" not in finite
+    propagate = frames.propagate_frenet
+
+    def blown_up(*args, **kwargs):
+        field = propagate(*args, **kwargs)
+        data = field.data.copy()
+        data[-1, 1, 2] = np.inf
+        return frames.FrameField(field.grid, data, field.beta)
+
+    monkeypatch.setattr(frames, "propagate_frenet", blown_up)
+    assert run(["frame", "--beta", "-1", "--sigma", "0.3", "--n", "50",
+                "--report", str(rp)]) == 1
+    rep = load_report(rp)
+    assert rep["passed"] is False and rep["checks"][1]["passed"] is False
+
+
+@pytest.mark.parametrize("checks", [
+    [],
+    [{"name": "drift", "max": 2.0, "informational": True}],
+])
+def test_report_without_gated_check_fails(tmp_path, checks):
+    # no gated check means nothing was shown, never a vacuous pass
+    rp = tmp_path / "r.json"
+    rep = cli._write_report(str(rp), {}, checks, 0, {})
+    assert rep["passed"] is False and load_report(rp)["passed"] is False
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--system", "mlxii", "--case", "pure-gauge", "--n", "0"],
+    ["check", "--kind", "lambda", "--n", "1"],
+    ["case", "pure-gauge", "--n", "1"],
+    ["surface", "--case", "cylinder", "--n", "1"],
+    ["check", "--eq", "zi", "--case", "planewave-zi", "--n", "0"],
+    ["check", "--eq", "m3q", "--case", "zi-reduction", "--seed", "-1"],
+])
+def test_degenerate_size_or_seed_is_usage_error(argv, capsys):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("solgeo:") and captured.out == ""
+
+
+SIZES = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "8"])
+
+
+@st.composite
+def argv_grammar(draw):
+    """Command lines over every subcommand, with degenerate sizes, refine
+    levels and seeds among the valid ones; `out` and `report` are
+    placeholders for paths."""
+    cmd = draw(st.sampled_from(["check", "surface", "case", "frame"]))
+    if cmd == "check":
+        argv = ["check", *draw(st.sampled_from([
+            ["--eq", "zi", "--case", "planewave-zi"],
+            ["--eq", "ds", "--case", "planewave-ds"],
+            ["--eq", "strachan", "--case", "planewave-zi"],
+            ["--eq", "m3q", "--case", "zi-reduction"],
+            ["--eq", "m3q", "--case", "strachan-reduction"],
+            ["--system", "mlxii", "--case", "pure-gauge"],
+            ["--system", "gmce", "--case", "pure-gauge"],
+            ["--kind", "lambda"],
+            ["--kind", "lax"],
+        ]))]
+        argv += ["--n", draw(SIZES),
+                 "--refine", draw(st.sampled_from(["0", "1", "2", "3"])),
+                 "--seed", draw(st.sampled_from(["-1", "0", "7"]))]
+        if draw(st.booleans()):
+            argv.append("--perturb")
+    elif cmd == "surface":
+        argv = ["surface", "--case", draw(st.sampled_from(
+            ["sphere-patch", "cylinder", "plane", "torus"])),
+            "--n", draw(SIZES)]
+        if draw(st.booleans()):
+            argv += ["--out", "out"]
+    elif cmd == "case":
+        # without --out the case files would land in the working directory
+        argv = ["case", draw(st.sampled_from(
+            ["planewave-zi", "uniform-spin", "pure-gauge", "rational-lambda",
+             "cylinder", "bogus"])), "--n", draw(SIZES), "--out", "out"]
+    else:
+        argv = ["frame", "--beta", draw(st.sampled_from(["1", "-1"])),
+                "--sigma", draw(st.sampled_from(["0", "0.3"])),
+                "--n", draw(SIZES)]
+        if draw(st.booleans()):
+            argv += ["--out", "out"]
+    if draw(st.booleans()):
+        argv += ["--report", "report"]
+    return argv
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@given(argv=argv_grammar())
+@settings(max_examples=40, deadline=None)
+def test_any_command_line_keeps_exit_code_contract(tmp_path_factory, argv):
+    # 0 pass, 1 check failed, 2 usage or domain error; never a traceback
+    work = tmp_path_factory.mktemp("argv")
+    argv = [str(work / a) if a in ("out", "report") else a for a in argv]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
 
 
 def test_config_file_merge_and_flag_priority(tmp_path):

@@ -42,10 +42,9 @@ def test_partial_exact_on_cubic():
     # quadratics; the 4th-order ones on quartics
     g = grid1d(17)
     x = g.coords("x")
-    f2 = sg.ScalarField(g, x**2)
-    assert np.abs(sg.partial(f2, "x").data - 2 * x).max() < 1e-12
-    f4 = sg.ScalarField(g, x**4)
-    assert np.abs(sg.partial(f4, "x", accuracy=4).data - 4 * x**3).max() < 1e-11
+    assert np.abs(sg.partial_data(x**2, g, "x") - 2 * x).max() < 1e-12
+    assert np.abs(sg.partial_data(x**4, g, "x", accuracy=4)
+                  - 4 * x**3).max() < 1e-11
 
 
 @pytest.mark.parametrize("accuracy,expect", [(2, 4.0), (4, 16.0)])
@@ -54,7 +53,7 @@ def test_partial_convergence_order(accuracy, expect):
     for n in (17, 33, 65):
         g = grid1d(n)
         x = g.coords("x")
-        d = sg.partial(sg.ScalarField(g, np.sin(3 * x)), "x", accuracy).data
+        d = sg.partial_data(np.sin(3 * x), g, "x", accuracy)
         errs.append(np.abs(d - 3 * np.cos(3 * x)).max())
     for e0, e1 in zip(errs, errs[1:]):
         assert e0 / e1 == pytest.approx(expect, rel=0.25)
@@ -64,7 +63,7 @@ def test_partial_convergence_order(accuracy, expect):
 def test_partial_periodic_wraps(accuracy):
     g = grid1d(32, periodic=True, length=2 * np.pi)
     x = g.coords("x")
-    d = sg.partial(sg.ScalarField(g, np.sin(x)), "x", accuracy).data
+    d = sg.partial_data(np.sin(x), g, "x", accuracy)
     tol = 7e-3 if accuracy == 2 else 1e-4
     assert np.abs(d - np.cos(x)).max() < tol
 
@@ -74,7 +73,7 @@ def test_partial_matrix_field_and_axis_choice():
     x, y = g.meshes()
     data = np.zeros(g.shape + (2, 2))
     data[..., 0, 1] = x * y**2
-    dy = sg.partial(sg.MatrixField(g, data), "y").data
+    dy = sg.partial_data(data, g, "y")
     assert np.abs(dy[..., 0, 1] - 2 * x * y).max() < 1e-12
     assert np.abs(dy[..., 1, 0]).max() == 0
 
@@ -86,25 +85,16 @@ def test_partial_linearity(a, b):
     x = g.coords("x")
     f = np.sin(2 * x)
     h = np.cos(3 * x)
-    lhs = sg.partial(sg.ScalarField(g, a * f + b * h), "x").data
-    rhs = (a * sg.partial(sg.ScalarField(g, f), "x").data
-           + b * sg.partial(sg.ScalarField(g, h), "x").data)
+    lhs = sg.partial_data(a * f + b * h, g, "x")
+    rhs = a * sg.partial_data(f, g, "x") + b * sg.partial_data(h, g, "x")
     assert np.abs(lhs - rhs).max() < 1e-9 * (1 + abs(a) + abs(b))
-
-
-def test_partial_data_matches_partial():
-    g = grid2d(12)
-    x, y = g.meshes()
-    f = np.sin(x + 2 * y)
-    assert np.array_equal(sg.partial_data(f, g, "y"),
-                          sg.partial(sg.ScalarField(g, f), "y").data)
 
 
 def test_antider_x_inverts_derivative():
     g = grid1d(201)
     x = g.coords("x")
-    f = sg.ScalarField(g, np.sin(4 * x))
-    back = sg.antider_x(sg.partial(f, "x", accuracy=4))
+    f = sg.ScalarField(g, sg.partial_data(np.sin(4 * x), g, "x", accuracy=4))
+    back = sg.antider_x(f)
     # antiderivative is gauged to zero at the x minimum
     expect = np.sin(4 * x) - np.sin(4 * x[0])
     assert np.abs(back.data - expect).max() < 5e-4
@@ -131,42 +121,6 @@ def test_antider_x_bit_identical_to_scipy(names, complex_data):
     expect = cumulative_trapezoid(d, dx=0.13, axis=ix, initial=0.0)
     assert np.array_equal(sg.antider_x_data(d, g), expect)
     assert np.array_equal(sg.antider_x(sg.ScalarField(g, d)).data, expect)
-
-
-def test_apply_M_polynomial_oracle():
-    # on f = x^2 + x y + y^2 every second derivative is constant, so both
-    # operators reduce to exact linear combinations
-    g = grid2d(17, length=1.0)
-    x, y = g.meshes()
-    f = sg.ScalarField(g, x**2 + x * y + y**2)
-    alpha, a, b = 2.0, 0.3, -0.7
-    m1 = sg.apply_M(f, "M1", alpha, a, b).data
-    want1 = alpha**2 * 2 + 4 * alpha * (b - a) * 1 + 4 * (a * a - 2 * a * b - b) * 2
-    assert np.abs(m1 - want1).max() < 1e-10
-    m2 = sg.apply_M(f, "M2", alpha, a, b).data
-    want2 = alpha**2 * 2 - 2 * alpha * (2 * a + 1) * 1 + 4 * a * (a + 1) * 2
-    assert np.abs(m2 - want2).max() < 1e-10
-
-
-def test_apply_M_isotropic_special_point():
-    # the dedicated variant is the general second operator frozen at the
-    # isotropic parameter point a = b = -1/2
-    g = grid2d(16, periodic=True, length=2 * np.pi)
-    x, y = g.meshes()
-    f = sg.ScalarField(g, np.sin(x) * np.cos(y))
-    lhs = sg.apply_M(f, "M2Ish", 1.5).data
-    rhs = sg.apply_M(f, "M2", 1.5, a=-0.5, b=-0.5).data
-    assert np.array_equal(lhs, rhs)
-    # at a = b = -1/2 the cross and xx terms vanish: M2 = a^2 d_yy - d_xx
-    direct = (1.5**2 * sg.partial_data(sg.partial_data(f.data, g, "y"), g, "y")
-              - sg.partial_data(sg.partial_data(f.data, g, "x"), g, "x"))
-    assert np.abs(lhs - direct).max() < 1e-12
-
-
-def test_apply_M_unknown_kind():
-    g = grid2d(8)
-    with pytest.raises(DomainError):
-        sg.apply_M(sg.ScalarField(g, np.zeros(g.shape)), "M3", 1.0)
 
 
 def test_save_load_roundtrip_scalar(tmp_path):

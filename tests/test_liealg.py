@@ -175,9 +175,9 @@ def test_expm_batch_matches_single_matrix_calls():
         _with_norm(rng.normal(size=(3, 3)), 7.0),
         np.diag([3.0, -2.0, 0.5]),
     ])
-    got = liealg._expm_batch(stack)
+    got = liealg.expm(stack)
     assert np.array_equal(got, [liealg.expm(m) for m in stack])
-    assert np.array_equal(liealg._expm_batch(stack[::-1]), got[::-1])
+    assert np.array_equal(liealg.expm(stack[::-1]), got[::-1])
 
 
 @pytest.mark.parametrize("h", [0.001, 0.01, 0.05])
@@ -243,17 +243,18 @@ def test_transport_rejects_nonfinite(bad):
 
 
 def test_spin_matrix_north_pole():
-    assert np.array_equal(liealg.spin_matrix(0, 0, 1, 1), np.diag([1.0, -1.0]))
+    assert np.array_equal(liealg.spin_matrix([0, 0, 1], 1),
+                          np.diag([1.0, -1.0]))
 
 
 def test_spin_matrix_equator():
-    assert np.array_equal(liealg.spin_matrix(1, 0, 0, 1),
+    assert np.array_equal(liealg.spin_matrix([1, 0, 0], 1),
                           np.array([[0, 1], [1, 0]], dtype=complex))
 
 
 def test_spin_matrix_constraint_violation():
     with pytest.raises(ConstraintError) as exc:
-        liealg.spin_matrix(0, 0, 0.5, 1)
+        liealg.spin_matrix([0, 0, 0.5], 1)
     assert exc.value.defect == pytest.approx(0.75)
 
 
@@ -265,22 +266,37 @@ def test_spin_matrix_det_and_trace(s1, s2, r2):
     if q >= 1.0 - 1e-6:
         return
     s3 = np.sqrt(1.0 - q)
-    m = liealg.spin_matrix(s1, s2, s3, r2)
+    m = liealg.spin_matrix([s1, s2, s3], r2)
     assert abs(np.trace(m)) < 1e-10
     assert abs(np.linalg.det(m) + 1) < 1e-9
 
 
 def test_spin_matrix_hermitian_focusing():
-    m = liealg.spin_matrix(0.3, 0.4, np.sqrt(0.75), 1)
+    m = liealg.spin_matrix([0.3, 0.4, np.sqrt(0.75)], 1)
     assert np.abs(m - m.conj().T).max() < 1e-12
 
 
 def test_spin_matrix_field_matches_pointwise():
+    # every point of a field against the hand-written entries
+    # [[S3, S-], [S+, -S3]] (r2 = +1, sphere) and [[S3, S-], [-S+, -S3]]
+    # (r2 = -1, hyperboloid)
     rng = np.random.default_rng(3)
     th = rng.normal(size=(4, 5))
     ph = rng.normal(size=(4, 5))
-    S = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
-                  np.cos(th)], axis=-1)
-    field = liealg.spin_matrix_field(S, 1)
-    one = liealg.spin_matrix(S[0, 0, 0], S[0, 0, 1], S[0, 0, 2], 1)
-    assert np.abs(field[0, 0] - one).max() < 1e-14
+    sphere = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                       np.cos(th)], axis=-1)
+    hyper = np.stack([np.sinh(th) * np.cos(ph), np.sinh(th) * np.sin(ph),
+                      np.cosh(th)], axis=-1)
+    for S, r2 in ((sphere, 1), (hyper, -1)):
+        field = liealg.spin_matrix(S, r2)
+        assert field.shape == (4, 5, 2, 2)
+        for idx in np.ndindex(4, 5):
+            s1, s2, s3 = S[idx]
+            sp = r2 * (s1 + 1j * s2)
+            expect = np.array([[s3, s1 - 1j * s2], [sp, -s3]])
+            assert np.abs(field[idx] - expect).max() < 1e-14
+
+
+def test_spin_matrix_rejects_bad_signature():
+    with pytest.raises(DomainError):
+        liealg.spin_matrix([0, 0, 1], 0)

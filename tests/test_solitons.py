@@ -3,7 +3,7 @@ import pytest
 
 from solgeo import cases, solitons
 from solgeo import grid as sg
-from solgeo.errors import DomainError
+from solgeo.errors import DomainError, NumericalError
 
 ANALYTIC_TOL = 1e-14
 
@@ -318,9 +318,60 @@ def test_zii_commutation_defect_zero_field():
     assert d == 0.0
 
 
+def test_rk4_blow_up_names_step_and_norm():
+    # an RK4 step of y' = 10 y with ds = 1 multiplies y by
+    # g = 1 + 10 + 50 + 500/3 + 1250/3 = 644.33, so from y = 1 the norm
+    # first exceeds 1e6 at step index 2, where it is g^3 = 2.675e8
+    with pytest.raises(NumericalError) as exc:
+        solitons._rk4(lambda s, y: 10.0 * y, np.ones(2), 0.0, 1.0, 5)
+    msg = str(exc.value)
+    assert "at step 2 of 5" in msg
+    assert f"max |g| = {(1 + 10 + 50 + 500 / 3 + 1250 / 3) ** 3:.3e}" in msg
+
+
 def test_commutation_defect_unknown_equation():
     with pytest.raises(DomainError):
         solitons.lax_commutation_defect("mi", {}, {})
+
+
+# --- second-order operators ---------------------------------------------------
+
+def test_m_operators_polynomial_oracle():
+    # on f = x^2 + x y + y^2 every second derivative is constant, so both
+    # operators reduce to exact linear combinations
+    n = 17
+    g = sg.GridSpec.make(sg.Axis("x", n, 1.0 / (n - 1)),
+                         sg.Axis("y", n, 1.0 / (n - 1)))
+    x, y = g.meshes()
+    f = x**2 + x * y + y**2
+    ops = solitons.FDOps(g)
+    alpha, a, b = 2.0, 0.3, -0.7
+    m1 = solitons._m1_op(ops, f, alpha, a, b)
+    want1 = alpha**2 * 2 + 4 * alpha * (b - a) * 1 + 4 * (a * a - 2 * a * b - b) * 2
+    assert np.abs(m1 - want1).max() < 1e-10
+    m2 = solitons._m2_op(ops, f, alpha, a, b)
+    want2 = alpha**2 * 2 - 2 * alpha * (2 * a + 1) * 1 + 4 * a * (a + 1) * 2
+    assert np.abs(m2 - want2).max() < 1e-10
+
+
+def test_m2_isotropic_special_point():
+    # the isotropic (Ishimori) map is the general one frozen at the
+    # parameter point a = b = -1/2
+    n = 16
+    g = sg.GridSpec.make(sg.Axis("x", n, 2 * np.pi / n, periodic=True),
+                         sg.Axis("y", n, 2 * np.pi / n, periodic=True))
+    x, y = g.meshes()
+    f = np.sin(x) * np.cos(y)
+    k, tau = np.ones(g.shape), np.zeros(g.shape)
+    ish = solitons.map_spin_coeffs("ishimori", k, tau, f, {"alpha_re": 1.5}, g)
+    gen = solitons.map_spin_coeffs(
+        "mix", k, tau, f, {"alpha_re": 1.5, "a": -0.5, "b": -0.5}, g)
+    assert np.array_equal(ish["m2"], gen["m2"])
+    # at a = b = -1/2 the cross and xx terms vanish: M2 = a^2 d_yy - d_xx
+    m2 = solitons._m2_op(solitons.FDOps(g), f, 1.5, -0.5, -0.5)
+    direct = (1.5**2 * sg.partial_data(sg.partial_data(f, g, "y"), g, "y")
+              - sg.partial_data(sg.partial_data(f, g, "x"), g, "x"))
+    assert np.abs(m2 - direct).max() < 1e-12
 
 
 # --- spin <-> soliton coefficient maps ----------------------------------------
