@@ -103,21 +103,6 @@ def uniform_spin(grid: sg.GridSpec | None = None, r2: int = 1) -> solitons.Spin:
 
 # --- pure-gauge connection ----------------------------------------------------
 
-_JZ = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-_JX = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-
-
-def _rot_z(phi):
-    c, s = np.cos(phi), np.sin(phi)
-    m = np.zeros(np.shape(phi) + (3, 3))
-    m[..., 0, 0] = c
-    m[..., 0, 1] = -s
-    m[..., 1, 0] = s
-    m[..., 1, 1] = c
-    m[..., 2, 2] = 1.0
-    return m
-
-
 def default_grid_gauge(n: int = 16) -> sg.GridSpec:
     h = 1.0 / (_points(n) - 1)
     return sg.GridSpec.make(sg.Axis("x", n, h), sg.Axis("y", n, h),
@@ -133,38 +118,43 @@ def pure_gauge_connection(grid: sg.GridSpec | None = None,
     """
     if grid is None:
         grid = default_grid_gauge()
-    meshes = dict(zip(grid.names, grid.meshes()))
+    meshes = dict(zip(grid.names, grid.meshes(sparse=True)))
     x = meshes.get("x", 0.0)
     y = meshes.get("y", 0.0)
     t = meshes.get("t", 0.0)
 
     phi = 0.5 * np.sin(x) * np.cos(y) + 0.3 * np.sin(t)
     dphi = {
-        "x": 0.5 * np.cos(x) * np.cos(y) + 0.0 * x,
-        "y": -0.5 * np.sin(x) * np.sin(y) + 0.0 * x,
-        "t": 0.3 * np.cos(t) + 0.0 * x,
+        "x": 0.5 * np.cos(x) * np.cos(y),
+        "y": -0.5 * np.sin(x) * np.sin(y),
+        "t": 0.3 * np.cos(t),
     }
-    psi = 0.4 * np.cos(x) * np.sin(y) + 0.2 * np.cos(t)
     dpsi = {
-        "x": -0.4 * np.sin(x) * np.sin(y) + 0.0 * x,
-        "y": 0.4 * np.cos(x) * np.cos(y) + 0.0 * x,
-        "t": -0.2 * np.sin(t) + 0.0 * x,
+        "x": -0.4 * np.sin(x) * np.sin(y),
+        "y": 0.4 * np.cos(x) * np.cos(y),
+        "t": -0.2 * np.sin(t),
     }
 
-    rz = _rot_z(np.broadcast_to(phi, grid.shape))
-    # Rz Jx Rz^T is the conjugated x-generator; A_mu = phi_mu Jz + psi_mu (Rz Jx Rz^T)
-    conj_jx = rz @ _JX @ np.swapaxes(rz, -1, -2)
-
+    # A_mu = phi_mu Jz + psi_mu (Rz Jx Rz^T) with Rz Jx Rz^T = cos(phi) Jx
+    # + sin(phi) Jy: six nonzero entries, written into a zeroed array that
+    # broadcasts the sparse-mesh factors to the grid
+    sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     out = {}
     key_by_axis = {"x": "A", "y": "B", "t": "C"}
     for ax in axes:
-        data = (np.broadcast_to(dphi[ax], grid.shape)[..., None, None] * _JZ
-                + np.broadcast_to(dpsi[ax], grid.shape)[..., None, None] * conj_jx)
-        out[key_by_axis[ax]] = sg.MatrixField(grid, np.ascontiguousarray(data))
+        data = np.zeros(grid.shape + (3, 3))
+        data[..., 0, 1] = -dphi[ax]
+        data[..., 1, 0] = dphi[ax]
+        data[..., 0, 2] = dpsi[ax] * sin_phi
+        data[..., 2, 0] = -data[..., 0, 2]
+        data[..., 2, 1] = dpsi[ax] * cos_phi
+        data[..., 1, 2] = -data[..., 2, 1]
+        out[key_by_axis[ax]] = sg.MatrixField(grid, data)
     if perturb:
-        pert = np.broadcast_to(np.sin(x) * np.cos(y), grid.shape)
-        bdata = out["B"].data + perturb * pert[..., None, None] * _JZ
-        out["B"] = sg.MatrixField(grid, bdata)
+        # perturb * sin(x) cos(y) Jz added to B
+        pert = perturb * (np.sin(x) * np.cos(y))
+        out["B"].data[..., 0, 1] -= pert
+        out["B"].data[..., 1, 0] += pert
     return out
 
 
@@ -280,7 +270,7 @@ def random_smooth(grid: sg.GridSpec, rng, scale: float = 1.0,
     On fully periodic grids the wavevectors are integers so the field is
     exactly periodic (otherwise wrap-around stencils see a jump)."""
     integer_modes = all(a.periodic for a in grid.axes)
-    meshes = grid.meshes()
+    meshes = grid.meshes(sparse=True)
     data = np.zeros(grid.shape, dtype=complex)
     for _ in range(nmodes):
         if integer_modes:

@@ -89,9 +89,13 @@ def _check_planewave(args):
 
 def _refine_levels(args):
     """Refinement levels of a convergence check; fewer than two would give
-    no ratio and so a vacuous pass."""
+    no ratio and so a vacuous pass.  These checks gate on ratio windows,
+    so a --tol (flag or config) would be recorded and never applied."""
     if args.refine < 2:
         raise DomainError(f"--refine must be at least 2, got {args.refine}")
+    if args.tol is not None:
+        raise DomainError("--tol does not apply to refinement checks, which "
+                          "gate on convergence ratios")
     return args.refine
 
 

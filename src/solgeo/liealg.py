@@ -80,12 +80,31 @@ def skew_matrix(t: CoeffTriple, beta: int) -> np.ndarray:
 
 
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix commutator [x, y] = xy - yx (batched over leading axes)."""
+    """Matrix commutator [x, y] = xy - yx (batched over leading axes).
+
+    Complex 3x3 stacks, where numpy's batched complex `@` is slow, are
+    summed entry by entry with the matrix axes moved in front; the result
+    differs from `x @ y - y @ x` by summation order only (within
+    1e-15 * max|x| * max|y|) and stays exactly antisymmetric.  Real stacks
+    and other sizes use `@`, which is the faster form there.
+    """
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape[-2:] != y.shape[-2:]:
         raise DomainError(f"shape mismatch {x.shape} vs {y.shape}")
-    return x @ y - y @ x
+    dtype = np.result_type(x, y)
+    if x.shape[-2:] != (3, 3) or dtype.kind != "c":
+        return x @ y - y @ x
+    a = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)), dtype=dtype)
+    b = np.ascontiguousarray(np.moveaxis(y, (-2, -1), (0, 1)), dtype=dtype)
+    out = np.empty((3, 3) + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
+                   dtype=dtype)
+    for i in range(3):
+        for j in range(3):
+            out[i, j] = (
+                (a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + a[i, 2] * b[2, j])
+                - (b[i, 0] * a[0, j] + b[i, 1] * a[1, j] + b[i, 2] * a[2, j]))
+    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
 
 
 # [13/13] Pade approximant of exp: theta_13 and the numerator coefficients

@@ -121,13 +121,15 @@ def _dot(a, b):
 def _unpack(fields: dict, grid):
     """Fields with a ComplexPair under "pair" or a Spin under "spin" spread
     into named entries, and the grid they live on (the container's grid
-    wins over `grid`)."""
+    wins over `grid`); bare arrays without a grid are a DomainError."""
     for key, names in (("pair", ("q", "p", "v", "v1", "v2")),
                        ("spin", ("S", "u", "w", "r2"))):
         if key in fields:
             grid = fields[key].grid
             fields = {**fields,
                       **{n: getattr(fields[key], n) for n in names}}
+    if grid is None:
+        raise DomainError("grid required")
     return fields, grid
 
 
@@ -142,8 +144,6 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
     """
     params = params or {}
     fields, grid = _unpack(fields, grid)
-    if grid is None:
-        raise DomainError("grid required")
     ops = _ops(grid, mode, accuracy)
     d = ops.d
     alpha = get_alpha(params)

@@ -79,10 +79,11 @@ class Wave:
                      for k, a in self.terms.items()})
 
     def sample(self, grid) -> np.ndarray:
-        meshes = dict(zip(grid.names, grid.meshes()))
+        meshes = dict(zip(grid.names, grid.meshes(sparse=True)))
         out = np.zeros(grid.shape, dtype=complex)
         for k, a in self.terms.items():
-            phase = np.zeros(grid.shape)
+            # phase broadcasts over the axes the wavevector spans only
+            phase = 0.0
             for ax, c in k:
                 phase = phase + c * meshes[ax]
             out += a * np.exp(1j * phase)

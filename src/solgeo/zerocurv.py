@@ -263,10 +263,10 @@ class SpectralField:
 
 
 def _coord(g: sg.GridSpec, name: str):
-    """Mesh coordinate for an axis, or 0.0 when the grid lacks it."""
+    """Coordinates of an axis shaped to broadcast against the grid, or 0.0
+    when the grid lacks it."""
     if name in g.names:
-        meshes = g.meshes()
-        return meshes[g.index(name)]
+        return g.meshes(sparse=True)[g.index(name)]
     return 0.0
 
 

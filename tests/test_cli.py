@@ -116,6 +116,28 @@ def test_refinement_needs_two_levels(argv, refine, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--system", "mlxii", "--case", "pure-gauge", "--n", "8"],
+    ["check", "--kind", "lambda", "--n", "8"],
+    ["check", "--kind", "lax"],
+])
+def test_refinement_checks_refuse_tol(argv, via, tmp_path, capsys):
+    # these checks gate on ratio windows; a --tol would be recorded in the
+    # config and never applied
+    if via == "flag":
+        code = run(argv + ["--refine", "2", "--tol", "1e-30"])
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"tol": 1e-30}))
+        code = run(["--config", str(conf)] + argv + ["--refine", "2"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("solgeo:") and "--tol" in captured.err
+    assert captured.out == ""
+
+
 def test_report_determinism_excluding_timing(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:

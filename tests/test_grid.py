@@ -68,6 +68,40 @@ def test_partial_periodic_wraps(accuracy):
     assert np.abs(d - np.cos(x)).max() < tol
 
 
+@pytest.mark.parametrize("accuracy", [2, 4])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_periodic_diff_axis_matches_roll_form(accuracy, dtype):
+    # the wrap-around stencil from slices must reproduce the np.roll form
+    # bit for bit, on every axis of a matrix-valued stack
+    rng = np.random.default_rng(4)
+    data = rng.normal(size=(9, 8, 7, 5, 5))
+    if dtype is complex:
+        data = data + 1j * rng.normal(size=data.shape)
+    h = 0.37
+    for f in (data, data[:, 0, 0, 0, 0]):
+        for axis in range(f.ndim):
+            r = lambda s: np.roll(f, s, axis=axis)
+            if accuracy == 2:
+                ref = (r(-1) - r(1)) / (2 * h)
+            else:
+                ref = (-r(-2) + 8 * r(-1) - 8 * r(1) + r(2)) / (12 * h)
+            got = sg.diff_axis(f, axis, h, True, accuracy)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref), (f.ndim, axis)
+
+
+def test_sparse_meshes_broadcast_to_dense():
+    g = sg.GridSpec.make(sg.Axis("x", 5, 0.1), sg.Axis("y", 6, 0.2),
+                         sg.Axis("t", 7, 0.3, origin=-1.0))
+    dense = g.meshes()
+    sparse = g.meshes(sparse=True)
+    assert len(sparse) == len(dense) == 3
+    for i, (s, d) in enumerate(zip(sparse, dense)):
+        assert s.shape == tuple(n if j == i else 1
+                                for j, n in enumerate(g.shape))
+        assert np.array_equal(np.broadcast_to(s, g.shape), d)
+
+
 def test_partial_matrix_field_and_axis_choice():
     g = grid2d(17)
     x, y = g.meshes()

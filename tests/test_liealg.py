@@ -78,6 +78,41 @@ def test_commutator_hand_example():
     assert np.array_equal(liealg.commutator(d, e), 2 * e)
 
 
+def _cstack(rng, lead, m=3, real=False):
+    x = rng.normal(size=lead + (m, m))
+    return x if real else x + 1j * rng.normal(size=x.shape)
+
+
+@pytest.mark.parametrize("lead_x,lead_y,real", [
+    ((), (), None),
+    ((5,), (5,), None),
+    ((2, 3, 4), (2, 3, 4), None),
+    ((1, 4), (3, 1), None),
+    ((2, 3), (2, 3), "x"),
+    ((2, 3), (2, 3), "y"),
+])
+def test_complex_commutator_matches_matmul(lead_x, lead_y, real):
+    # the components-first complex path sums in another order than `@`,
+    # so it agrees to rounding of the products, and stays antisymmetric
+    rng = np.random.default_rng(11)
+    x = _cstack(rng, lead_x, real=real == "x")
+    y = _cstack(rng, lead_y, real=real == "y")
+    got = liealg.commutator(x, y)
+    ref = x @ y - y @ x
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    bound = 1e-15 * np.abs(x).max() * np.abs(y).max()
+    assert np.abs(got - ref).max() <= bound
+    assert np.array_equal(got, -liealg.commutator(y, x))
+
+
+def test_commutator_keeps_matmul_off_the_complex_3x3_path():
+    rng = np.random.default_rng(12)
+    for x, y in ((_cstack(rng, (4,), m=2), _cstack(rng, (4,), m=2)),
+                 (_cstack(rng, (4, 5), real=True),
+                  _cstack(rng, (4, 5), real=True))):
+        assert np.array_equal(liealg.commutator(x, y), x @ y - y @ x)
+
+
 def test_commutator_shape_mismatch():
     with pytest.raises(DomainError):
         liealg.commutator(np.eye(3), np.eye(2))

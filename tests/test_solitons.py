@@ -287,8 +287,15 @@ def test_zii_lax_requires_periodic_grid():
 
 
 def test_build_lax_unknown_equation():
-    with pytest.raises(DomainError):
-        solitons.build_lax("ds", {}, {})
+    grid = sg.GridSpec.make(sg.Axis("x", 8, 0.1), sg.Axis("y", 8, 0.1))
+    with pytest.raises(DomainError, match="no Lax builder"):
+        solitons.build_lax("ds", {}, {}, grid=grid)
+
+
+def test_build_lax_bare_arrays_need_a_grid():
+    z = np.zeros((6, 6, 6), dtype=complex)
+    with pytest.raises(DomainError, match="grid required"):
+        solitons.build_lax("zi", {"q": z, "p": z, "v": z})
 
 
 # --- commutation defects ------------------------------------------------------

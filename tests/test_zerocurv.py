@@ -64,6 +64,67 @@ def test_flat_connection_residual_converges():
     assert maxima[1] / maxima[2] == pytest.approx(4.0, rel=0.35)
 
 
+def _pure_gauge_reference(grid, axes, perturb):
+    """The rotation-product form of the pure-gauge builder:
+    A_mu = phi_mu Jz + psi_mu Rz(phi) Jx Rz(phi)^T on dense meshes."""
+    jz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    jx = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    m = dict(zip(grid.names, grid.meshes()))
+    x, y, t = (m.get(a, 0.0) for a in ("x", "y", "t"))
+    full = lambda v: np.broadcast_to(v, grid.shape)[..., None, None]
+    phi = np.broadcast_to(0.5 * np.sin(x) * np.cos(y) + 0.3 * np.sin(t),
+                          grid.shape)
+    dphi = {"x": 0.5 * np.cos(x) * np.cos(y),
+            "y": -0.5 * np.sin(x) * np.sin(y), "t": 0.3 * np.cos(t)}
+    dpsi = {"x": -0.4 * np.sin(x) * np.sin(y),
+            "y": 0.4 * np.cos(x) * np.cos(y), "t": -0.2 * np.sin(t)}
+    rz = np.zeros(grid.shape + (3, 3))
+    rz[..., 0, 0] = rz[..., 1, 1] = np.cos(phi)
+    rz[..., 1, 0] = np.sin(phi)
+    rz[..., 0, 1] = -np.sin(phi)
+    rz[..., 2, 2] = 1.0
+    conj_jx = rz @ jx @ np.swapaxes(rz, -1, -2)
+    out = {key: full(dphi[ax]) * jz + full(dpsi[ax]) * conj_jx
+           for ax, key in zip(("x", "y", "t"), ("A", "B", "C")) if ax in axes}
+    if perturb:
+        out["B"] = out["B"] + perturb * full(np.sin(x) * np.cos(y)) * jz
+    return out
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.2])
+@pytest.mark.parametrize("names", ["xyt", "xy"])
+def test_pure_gauge_matches_rotation_product(names, perturb):
+    h = 1.0 / 8
+    grid = sg.GridSpec.make(*(sg.Axis(a, 9, h, origin=-0.3 * i)
+                              for i, a in enumerate(names)))
+    axes = tuple(names)
+    conn = cases.pure_gauge_connection(grid, axes=axes, perturb=perturb)
+    ref = _pure_gauge_reference(grid, axes, perturb)
+    assert set(conn) == set(ref)
+    for key, f in conn.items():
+        assert f.grid == grid and f.data.shape == grid.shape + (3, 3)
+        assert np.array_equal(f.data, ref[key]), key
+
+
+def test_hot_builders_build_no_dense_meshes(monkeypatch):
+    # the grid-kernel builders broadcast sparse coordinates; a dense mesh
+    # here costs a full-grid copy per axis
+    meshes = sg.GridSpec.meshes
+
+    def sparse_only(self, sparse=False):
+        if not sparse:
+            raise AssertionError("dense meshes built")
+        return meshes(self, sparse=True)
+
+    monkeypatch.setattr(sg.GridSpec, "meshes", sparse_only)
+    cases.pure_gauge_connection(cases.default_grid_gauge(6), perturb=0.1)
+    f = zerocurv.lambda_field("sdym_xi", cases.LAMBDA_PARAMS[1],
+                              cases.default_grid_xi(6))
+    assert f.lam.shape == (6, 6, 6, 6)
+    wave = cases.planewave("zi")["q"] + 0.5
+    assert wave.sample(cases.default_grid_xyt(6)).shape == (6, 6, 6)
+
+
 def test_perturbed_connection_residual_stalls():
     maxima = []
     for n in (9, 17, 33):
