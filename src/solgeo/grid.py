@@ -109,13 +109,6 @@ _EDGE4_0 = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25])
 _EDGE4_1 = np.array([-0.25, -5.0 / 6.0, 1.5, -0.5, 1.0 / 12.0])
 
 
-def _wrapped_rows(n: int, s: int):
-    """(destination, source) slice pairs along axis 0 that read row
-    (i + s) mod n into row i: a periodic shift without a rolled copy."""
-    s %= n
-    return ((slice(0, n - s), slice(s, n)), (slice(n - s, n), slice(0, s)))
-
-
 def diff_axis(data: np.ndarray, axis: int, h: float, periodic: bool,
               accuracy: int = 2) -> np.ndarray:
     """First derivative along one array axis; central in the interior,
@@ -130,27 +123,19 @@ def diff_axis(data: np.ndarray, axis: int, h: float, periodic: bool,
     out = np.empty_like(f, dtype=np.result_type(f.dtype, float))
     if accuracy == 2:
         if periodic:
-            # wrap-around rows written from slices, no rolled copies
-            np.subtract(f[2:], f[:-2], out=out[1:-1])
-            np.subtract(f[1:2], f[-1:], out=out[:1])
-            np.subtract(f[:1], f[-2:-1], out=out[-1:])
-            np.divide(out, 2 * h, out=out)
+            out[:] = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * h)
         else:
             out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
             out[0] = (_EDGE2[0] * f[0] + _EDGE2[1] * f[1] + _EDGE2[2] * f[2]) / h
             out[-1] = -(_EDGE2[0] * f[-1] + _EDGE2[1] * f[-2] + _EDGE2[2] * f[-3]) / h
     else:
         if periodic:
-            # (8 f[i+1] - f[i+2]) - 8 f[i-1] + f[i-2], accumulated in out
-            for dst, src in _wrapped_rows(n, 1):
-                np.multiply(f[src], 8, out=out[dst])
-            for dst, src in _wrapped_rows(n, 2):
-                out[dst] -= f[src]
-            for dst, src in _wrapped_rows(n, -1):
-                out[dst] -= 8 * f[src]
-            for dst, src in _wrapped_rows(n, -2):
-                out[dst] += f[src]
-            np.divide(out, 12 * h, out=out)
+            out[:] = (
+                -np.roll(f, -2, axis=0)
+                + 8 * np.roll(f, -1, axis=0)
+                - 8 * np.roll(f, 1, axis=0)
+                + np.roll(f, 2, axis=0)
+            ) / (12 * h)
         else:
             out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
             out[0] = sum(c * f[j] for j, c in enumerate(_EDGE4_0)) / h

@@ -71,8 +71,8 @@ def test_partial_periodic_wraps(accuracy):
 @pytest.mark.parametrize("accuracy", [2, 4])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_periodic_diff_axis_matches_roll_form(accuracy, dtype):
-    # the wrap-around stencil from slices must reproduce the np.roll form
-    # bit for bit, on every axis of a matrix-valued stack
+    # the wrap-around stencil must equal the np.roll form bit for bit, on
+    # every axis of a matrix-valued stack
     rng = np.random.default_rng(4)
     data = rng.normal(size=(9, 8, 7, 5, 5))
     if dtype is complex:
