@@ -116,6 +116,11 @@ def pure_gauge_connection(grid: sg.GridSpec | None = None,
     zero-curvature residual of the returned fields is pure discretization
     error.  perturb > 0 adds a fixed non-gauge term to break flatness.
     """
+    key_by_axis = {"x": "A", "y": "B", "t": "C"}
+    if not set(axes) <= set(key_by_axis):
+        raise DomainError(f"pure-gauge axes {axes}: choose from x, y, t")
+    if perturb and "y" not in axes:
+        raise DomainError("perturb adds to B, so the axes must include y")
     if grid is None:
         grid = default_grid_gauge()
     meshes = dict(zip(grid.names, grid.meshes(sparse=True)))
@@ -140,7 +145,6 @@ def pure_gauge_connection(grid: sg.GridSpec | None = None,
     # broadcasts the sparse-mesh factors to the grid
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     out = {}
-    key_by_axis = {"x": "A", "y": "B", "t": "C"}
     for ax in axes:
         data = np.zeros(grid.shape + (3, 3))
         data[..., 0, 1] = -dphi[ax]

@@ -154,7 +154,7 @@ def _check_lax(args):
     levels = _refine_levels(args)
     pw = cases.planewave("zi")
     report = solitons.lax_refinement_report(
-        "zi", pw["callables"], {"lam": 0.3}, levels=levels)
+        "zi", pw["callables"], {"lam": 0.3}, levels=levels, n_line=args.n)
     ok = all(r >= 8.0 for r in report["ratios"])
     checks = [{"name": "lax-zi-refinement", "defects": report["defects"],
                "ratios": report["ratios"], "tol": 8.0,
@@ -167,7 +167,7 @@ def _check_lax(args):
         lv = levels - 1
         bad = solitons.lax_commutation_defect(
             "zi", bad_pw["callables"], {"lam": 0.3},
-            n_line=16 * 2**lv, substeps=4 * 2**lv)
+            n_line=args.n * 2**lv, substeps=4 * 2**lv)
         ratio = bad / report["defects"][-1]
         checks.append({"name": "lax-zi-discrimination", "max": ratio,
                        "tol": 100.0, "passed": bool(ratio >= 100.0)})
@@ -175,6 +175,9 @@ def _check_lax(args):
 
 
 def cmd_check(args):
+    if args.perturb and args.kind != "lax":
+        # only the lax check has a negative control to run
+        raise DomainError("--perturb applies to --kind lax only")
     if args.kind == "lambda":
         return _check_lambda(args)
     if args.kind == "lax":

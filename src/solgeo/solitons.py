@@ -9,7 +9,7 @@ a, b, c, d, beta, r2, l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,6 +77,48 @@ class WaveOps:
     def finalize(self, f):
         if isinstance(f, Wave):
             return f.sample(self.grid)
+        return np.asarray(f)
+
+
+class SpectralOps:
+    """FFT derivatives along the periodic axes of a grid, on arrays whose
+    leading axes follow the grid (trailing matrix axes ride along), and
+    trigonometric interpolation at off-node coordinates."""
+
+    def __init__(self, grid: sg.GridSpec):
+        self.grid = grid
+
+    def wavenumbers(self, axis, ndim):
+        """Angular wavenumbers of a periodic axis in FFT order, shaped to
+        run along that axis of an ndim-dimensional array."""
+        i, ax = self.grid.index(axis), self.grid.axis(axis)
+        if not ax.periodic:
+            raise DomainError(f"spectral operations need a periodic axis; "
+                              f"{axis!r} is open")
+        shape = [1] * ndim
+        shape[i] = ax.n
+        return (2 * np.pi * np.fft.fftfreq(ax.n, d=ax.h)).reshape(shape)
+
+    def d(self, f, axis):
+        f = np.asarray(f)
+        i = self.grid.index(axis)
+        return np.fft.ifft(1j * self.wavenumbers(axis, f.ndim)
+                           * np.fft.fft(f, axis=i), axis=i)
+
+    def interp(self, f, axis, at):
+        """The band-limited interpolant of f along a periodic axis (the
+        Nyquist mode as a cosine) at the coordinates `at`: the axes of `at`
+        lead, followed by the other axes of f."""
+        f = np.asarray(f)
+        i, ax = self.grid.index(axis), self.grid.axis(axis)
+        k = self.wavenumbers(axis, f.ndim).ravel()
+        s = np.asarray(at, dtype=float)[..., None] - ax.origin
+        w = np.exp(1j * k * s)
+        if ax.n % 2 == 0:
+            w[..., ax.n // 2] = np.cos(k[ax.n // 2] * s[..., 0])
+        return np.tensordot(w, np.fft.fft(f, axis=i) / ax.n, axes=(-1, i))
+
+    def finalize(self, f):
         return np.asarray(f)
 
 
@@ -268,28 +310,31 @@ ZI_A3 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
 def build_lax(eq: str, fields: dict, params: dict | None = None,
-              grid=None, accuracy: int = 2) -> dict:
-    """Lax matrices exactly as printed.
+              grid=None, ops=None) -> dict:
+    """Lax matrices exactly as printed, with the derivatives of the backend
+    ops on the grid (default FDOps).
 
     zi -> {A1, A2, A3}; mi -> {A3, A4}; zii -> {B0, B1, C0, C1, C2} with the
     diagonal C0 entries obtained by Fourier-symbol inversion of the
-    constant-coefficient first-order operators (zero-mean gauge).
+    constant-coefficient first-order operators (zero-mean gauge) on the
+    doubly periodic (x, y) axes; any further grid axes are batch axes.
     """
     params = params or {}
     fields, grid = _unpack(fields, grid)
+    ops = ops or FDOps(grid)
+    d = ops.d
 
     if eq == "zi":
-        q, p, v = fields["q"], fields["p"], fields["v"]
-        q = np.asarray(q, dtype=complex)
-        p = np.asarray(p, dtype=complex)
+        q, p = (np.asarray(fields[k], dtype=complex) for k in ("q", "p"))
+        v = fields["v"]
         shape = q.shape
         A1 = np.zeros(shape + (3, 3), dtype=complex)
         A1[..., 0, 1] = 1j * (q - p)
         A1[..., 0, 2] = q + p
         A1[..., 1, 0] = -1j * (q - p)
         A1[..., 2, 0] = -(q + p)
-        spy = sg.partial_data(q + p, grid, "y", accuracy)
-        dmy = sg.partial_data(1j * (p - q), grid, "y", accuracy)
+        spy = d(q + p, "y")
+        dmy = d(1j * (p - q), "y")
         A2 = np.zeros(shape + (3, 3), dtype=complex)
         A2[..., 0, 1] = spy
         A2[..., 0, 2] = dmy
@@ -307,10 +352,7 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
         # matrices; the stored spin field itself never carries the i.
         r = 1.0 if r2sign == 1 else 1.0j
         s1, s2, s3 = S[..., 0], S[..., 1], S[..., 2]
-        grid_ = grid
-        s1y = sg.partial_data(s1, grid_, "y", accuracy)
-        s2y = sg.partial_data(s2, grid_, "y", accuracy)
-        s3y = sg.partial_data(s3, grid_, "y", accuracy)
+        s1y, s2y, s3y = d(s1, "y"), d(s2, "y"), d(s3, "y")
         shape = s1.shape
         A3 = np.zeros(shape + (3, 3), dtype=complex)
         A3[..., 0, 1] = r * s1
@@ -336,8 +378,7 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
         return {"A3": A3, "A4": A4}
 
     if eq == "zii":
-        q = np.asarray(fields["q"], dtype=complex)
-        p = np.asarray(fields["p"], dtype=complex)
+        q, p = (np.asarray(fields[k], dtype=complex) for k in ("q", "p"))
         a = params.get("a", -0.5)
         b = params.get("b", -0.5)
         alpha = get_alpha(params)
@@ -352,9 +393,7 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
         C2[..., 0, 0] = (2 * b + 1) / 2 + 0.5
         C2[..., 1, 1] = (2 * b + 1) / 2 - 0.5
         C1 = 1j * B0
-        qx = sg.partial_data(q, grid, "x", accuracy)
-        qy = sg.partial_data(q, grid, "y", accuracy)
-        py = sg.partial_data(p, grid, "y", accuracy)
+        qx, qy, py = d(q, "x"), d(q, "y"), d(p, "y")
         c12 = 1j * (2 * b - a + 1) * qx + 1j * alpha * qy
         c21 = 1j * (a - 2 * b) * qx - 1j * alpha * py
         pq = p * q
@@ -371,27 +410,27 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
 
 
 def _solve_first_order(pq, grid, cx, cy, rx, ry):
-    """Solve cx*f_x - cy*f_y = i*(rx*(pq)_x + ry*(pq)_y) on a doubly periodic
-    (x, y) grid by Fourier-symbol division with zero-mean gauge."""
-    ix = grid.index("x")
-    iy = grid.index("y")
-    ax_x, ax_y = grid.axes[ix], grid.axes[iy]
-    if not (ax_x.periodic and ax_y.periodic):
+    """Solve cx*f_x - cy*f_y = i*(rx*(pq)_x + ry*(pq)_y) along the doubly
+    periodic x and y axes of grid by Fourier-symbol division with zero-mean
+    gauge; the wavenumbers follow the axis order, other axes are batch."""
+    if not (grid.axis("x").periodic and grid.axis("y").periodic):
         raise DomainError("diagonal temporal entries need doubly periodic x, y")
-    kx = 2 * np.pi * np.fft.fftfreq(ax_x.n, d=ax_x.h)
-    ky = 2 * np.pi * np.fft.fftfreq(ax_y.n, d=ax_y.h)
-    KX, KY = np.meshgrid(kx, ky, indexing="ij")
-    pq_hat = np.fft.fft2(pq, axes=(ix, iy))
+    spec = SpectralOps(grid)
+    KX = spec.wavenumbers("x", pq.ndim)
+    KY = spec.wavenumbers("y", pq.ndim)
+    axes = (grid.index("x"), grid.index("y"))
+    pq_hat = np.fft.fft2(pq, axes=axes)
     rhs_hat = 1j * (rx * (1j * KX) + ry * (1j * KY)) * pq_hat
     sym = 1j * (cx * KX - cy * KY)
     zero = np.abs(sym) < 1e-12
-    bad = zero & (np.abs(rhs_hat) > 1e-10 * max(1.0, np.abs(pq_hat).max()))
-    bad[0, 0] = False
+    # the constant mode is the gauge freedom, never a resonance
+    bad = (zero & ((KX != 0) | (KY != 0))
+           & (np.abs(rhs_hat) > 1e-10 * max(1.0, np.abs(pq_hat).max())))
     if bad.any():
         m = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise DomainError(f"resonant Fourier mode {m} in temporal-entry solve")
     f_hat = np.where(zero, 0.0, rhs_hat / np.where(zero, 1.0, sym))
-    return np.fft.ifft2(f_hat, axes=(ix, iy))
+    return np.fft.ifft2(f_hat, axes=axes)
 
 
 # --- commutation defect for the linear problems ------------------------------
@@ -412,176 +451,131 @@ def _rk4(f, y, s, ds, nsteps):
     return y
 
 
-def _spectral_d(line_axis):
-    k = 2 * np.pi * np.fft.fftfreq(line_axis.n, d=line_axis.h)
+# the (first, second) extents of the cell that both sweep orders cross
+LAX_CELL = (0.2, 0.2)
 
-    def d(g):
-        return np.fft.ifft(1j * k[:, None, None] * np.fft.fft(g, axis=0), axis=0)
 
-    return d
+def _periodic_line(name, n):
+    """The periodic line of n points over [0, 2 pi) along axis name."""
+    if n < 4:
+        raise DomainError(f"need a line of n >= 4 points, got {n}")
+    return sg.Axis(name, n, 2 * np.pi / n, periodic=True)
+
+
+def _stage_axis(name, span, substeps):
+    """The 2 substeps + 1 RK4 stage coordinates of a sweep over [0, span]."""
+    if substeps < 2:
+        raise DomainError(f"need substeps >= 2 per sweep, got {substeps}")
+    return sg.Axis(name, 2 * substeps + 1, span / (2 * substeps))
+
+
+def _sample(fields, names, grid, fixed):
+    """Callables f(x, y, t) sampled on grid, with the coordinates the grid
+    lacks taken from `fixed`, each broadcast to the grid shape."""
+    c = {**fixed, **dict(zip(grid.names, grid.meshes(sparse=True)))}
+    return {k: np.broadcast_to(fields[k](c["x"], c["y"], c["t"]), grid.shape)
+            for k in names}
+
+
+def _sweep(rhs, g, span, substeps):
+    """RK4 over [0, span] in substeps steps, where rhs(j, g) is the
+    right-hand side at stage coordinate j * span / (2 substeps)."""
+    ds = span / substeps
+    return _rk4(lambda s, gg: rhs(round(2 * s / ds), gg), g, 0.0, ds,
+                substeps)
 
 
 def lax_commutation_defect(eq: str, fields: dict, params: dict,
-                           g0: np.ndarray | None = None,
-                           n_line: int = 32, cell=(0.2, 0.2),
-                           substeps: int = 8, base=(0.0, 0.0, 0.0)) -> float:
-    """Norm of the difference between evolving the wavefunction through one
-    cell in the two possible orders.
+                           n_line: int = 32, substeps: int = 8) -> float:
+    """Max-norm difference between the two orders of evolving the
+    wavefunction, from the identity, across the cell LAX_CELL at the origin
+    (RK4, `substeps` steps per sweep); the fields are callables f(x, y, t)
+    that broadcast over array arguments.  Each sweep's stage generators come
+    from build_lax with SpectralOps.
 
-    zi: evolutions along x and t, state on a periodic y-line; fields are
-    callables q(x, y, t), p(...), v(...) vectorized over the y array.
-    zii: evolutions along y and t, state on a periodic x-line.
+    zi: sweeps along x and t, state on a periodic y-line of n_line points.
+    zii: sweeps along y and t, state on a periodic x-line; build_lax runs
+    once on the doubly periodic (x, y) cell grid, batched over the t
+    stages, and B0, C0 are read at each stage's exact y by trigonometric
+    interpolation along y.
     """
     if eq == "zi":
-        return _zi_defect(fields, params, g0, n_line, cell, substeps, base)
+        return _zi_defect(fields, params, n_line, substeps)
     if eq == "zii":
-        return _zii_defect(fields, params, g0, n_line, cell, substeps, base)
+        return _zii_defect(fields, params, n_line, substeps)
     raise DomainError(f"no commutation test for equation {eq!r}")
 
 
-def _zi_defect(fields, params, g0, n_line, cell, substeps, base):
+def _zi_defect(fields, params, n_line, substeps):
     lam = params.get("lam", 0.3)
-    x0, y0, t0 = base
-    dx_tot, dt_tot = cell
-    Ly = params.get("Ly", 2 * np.pi)
-    axis = sg.Axis("y", n_line, Ly / n_line, periodic=True)
-    y = axis.coords()
-    dspec = _spectral_d(axis)
-    if g0 is None:
-        g0 = np.broadcast_to(np.eye(3, dtype=complex), (n_line, 3, 3)).copy()
+    span = dict(zip(("x", "t"), LAX_CELL))
+    line = _periodic_line("y", n_line)
+    d_line = SpectralOps(sg.GridSpec.make(line)).d
 
-    qf, pf, vf = fields["q"], fields["p"], fields["v"]
+    def lax(axis, fixed):
+        grid = sg.GridSpec.make(_stage_axis(axis, span[axis], substeps), line)
+        return build_lax("zi", _sample(fields, ("q", "p", "v"), grid, fixed),
+                         grid=grid, ops=SpectralOps(grid))
 
-    def a1(x, t):
-        q = qf(x, y, t)
-        p = pf(x, y, t)
-        m = np.zeros((n_line, 3, 3), dtype=complex)
-        m[:, 0, 1] = 1j * (q - p)
-        m[:, 0, 2] = q + p
-        m[:, 1, 0] = -1j * (q - p)
-        m[:, 2, 0] = -(q + p)
-        return m
+    def sweep_x(g, t):
+        m = lax("x", {"t": t})
+        gen = m["A1"] - lam * m["A3"]
+        return _sweep(lambda j, gg: gen[j] @ gg, g, span["x"], substeps)
 
-    def a2(x, t):
-        # y-derivatives of the field combinations, exact via spectral diff
-        q = qf(x, y, t)
-        p = pf(x, y, t)
-        v = vf(x, y, t)
-        k = 2 * np.pi * np.fft.fftfreq(n_line, d=axis.h)
-        dy = lambda f: np.fft.ifft(1j * k * np.fft.fft(f))
-        spy = dy(q + p)
-        dmy = dy(1j * (p - q))
-        m = np.zeros((n_line, 3, 3), dtype=complex)
-        m[:, 0, 1] = spy
-        m[:, 0, 2] = dmy
-        m[:, 1, 0] = -spy
-        m[:, 1, 2] = v
-        m[:, 2, 0] = -dmy
-        m[:, 2, 1] = -v
-        return m
+    def sweep_t(g, x):
+        a2 = lax("t", {"x": x})["A2"]
+        return _sweep(lambda j, gg: lam * d_line(gg, "y") + a2[j] @ gg,
+                      g, span["t"], substeps)
 
-    def evolve_x(g, t, x_from, x_to, n):
-        f = lambda x, gg: (a1(x, t) - lam * ZI_A3) @ gg
-        return _rk4(f, g, x_from, (x_to - x_from) / n, n)
-
-    def evolve_t(g, x, t_from, t_to, n):
-        f = lambda t, gg: lam * dspec(gg) + a2(x, t) @ gg
-        return _rk4(f, g, t_from, (t_to - t_from) / n, n)
-
-    ga = evolve_t(evolve_x(g0, t0, x0, x0 + dx_tot, substeps),
-                  x0 + dx_tot, t0, t0 + dt_tot, substeps)
-    gb = evolve_x(evolve_t(g0, x0, t0, t0 + dt_tot, substeps),
-                  t0 + dt_tot, x0, x0 + dx_tot, substeps)
+    g0 = np.broadcast_to(np.eye(3, dtype=complex), (n_line, 3, 3))
+    ga = sweep_t(sweep_x(g0, 0.0), span["x"])
+    gb = sweep_x(sweep_t(g0, 0.0), span["t"])
     return float(np.abs(ga - gb).max())
 
 
-def _zii_defect(fields, params, g0, n_line, cell, substeps, base):
+def _zii_defect(fields, params, n_line, substeps):
     alpha = get_alpha(params)
-    a = params.get("a", -0.5)
-    b = params.get("b", 1.0)
-    x0, y0, t0 = base
-    dy_tot, dt_tot = cell
-    Lx = params.get("Lx", 2 * np.pi)
-    ax_x = sg.Axis("x", n_line, Lx / n_line, periodic=True)
-    x = ax_x.coords()
-    dspec = _spectral_d(ax_x)
-    k = 2 * np.pi * np.fft.fftfreq(n_line, d=ax_x.h)
+    span = dict(zip(("y", "t"), LAX_CELL))
+    line = _periodic_line("x", n_line)
+    d_line = SpectralOps(sg.GridSpec.make(line)).d
+    cell = sg.GridSpec.make(_stage_axis("t", span["t"], substeps), line,
+                            _periodic_line("y", n_line))
+    spec = SpectralOps(cell)
+    lax = build_lax("zii", _sample(fields, ("q", "p"), cell, {}), params,
+                    grid=cell, ops=spec)
+    # B1 and C2 are constant: one matrix per line node
+    B1, C2 = lax["B1"][0, :, 0], lax["C2"][0, :, 0]
+    # B0 at (y stage, t stage), read at the two t ends of the cell
+    b0_y = spec.interp(lax["B0"], "y",
+                       _stage_axis("y", span["y"], substeps).coords())
 
-    def dspec2(g):
-        return np.fft.ifft(-(k[:, None, None] ** 2) * np.fft.fft(g, axis=0), axis=0)
+    def sweep_y(g, jt):
+        b0 = b0_y[:, jt]
+        return _sweep(lambda j, gg: (B1 @ d_line(gg, "x") + b0[j] @ gg) / alpha,
+                      g, span["y"], substeps)
 
-    if g0 is None:
-        g0 = np.broadcast_to(np.eye(2, dtype=complex), (n_line, 2, 2)).copy()
+    def sweep_t(g, y):
+        c1, c0 = (spec.interp(lax[k], "y", y) for k in ("C1", "C0"))
 
-    qf, pf = fields["q"], fields["p"]
-    B1 = np.diag([a + 1.0, a]).astype(complex)
-    C2 = np.diag([(2 * b + 1) / 2 + 0.5, (2 * b + 1) / 2 - 0.5]).astype(complex)
+        def rhs(j, gg):
+            gx = d_line(gg, "x")
+            return 2 * C2 @ d_line(gx, "x") + c1[j] @ gx + c0[j] @ gg
+        return _sweep(rhs, g, span["t"], substeps)
 
-    # auxiliary doubly periodic (x, y) grid for the temporal diagonal entries
-    n_aux = params.get("n_aux", n_line)
-    Ly = params.get("Ly", 2 * np.pi)
-    aux = sg.GridSpec.make(sg.Axis("x", n_line, Lx / n_line, periodic=True),
-                           sg.Axis("y", n_aux, Ly / n_aux, periodic=True))
-    xa, ya = aux.meshes()
-
-    def b0(yv, t):
-        q = qf(x, yv, t)
-        p = pf(x, yv, t)
-        m = np.zeros((n_line, 2, 2), dtype=complex)
-        m[:, 0, 1] = q
-        m[:, 1, 0] = p
-        return m
-
-    def c0(yv, t):
-        q2 = qf(xa, ya, t)
-        p2 = pf(xa, ya, t)
-        pq = p2 * q2
-        if np.abs(pq).max() < 1e-300:
-            c11 = np.zeros(n_line, dtype=complex)
-            c22 = np.zeros(n_line, dtype=complex)
-        else:
-            j = int(round((yv - aux.axes[1].origin) / aux.axes[1].h)) % n_aux
-            c11 = _solve_first_order(pq, aux, a + 1, alpha, 2 * b - a + 1, alpha)[:, j]
-            c22 = _solve_first_order(pq, aux, a, alpha, a - 2 * b, -alpha)[:, j]
-        q = qf(x, yv, t)
-        p = pf(x, yv, t)
-        kk = 2 * np.pi * np.fft.fftfreq(n_line, d=ax_x.h)
-        dx1 = lambda f: np.fft.ifft(1j * kk * np.fft.fft(f))
-        qx = dx1(q)
-        qy = (qf(x, yv + 1e-5, t) - qf(x, yv - 1e-5, t)) / 2e-5
-        py = (pf(x, yv + 1e-5, t) - pf(x, yv - 1e-5, t)) / 2e-5
-        m = np.zeros((n_line, 2, 2), dtype=complex)
-        m[:, 0, 0] = c11
-        m[:, 1, 1] = c22
-        m[:, 0, 1] = 1j * (2 * b - a + 1) * qx + 1j * alpha * qy
-        m[:, 1, 0] = 1j * (a - 2 * b) * qx - 1j * alpha * py
-        return m
-
-    def evolve_y(g, t, y_from, y_to, n):
-        f = lambda yv, gg: (B1 @ dspec(gg) + b0(yv, t) @ gg) / alpha
-        return _rk4(f, g, y_from, (y_to - y_from) / n, n)
-
-    def evolve_t(g, yv, t_from, t_to, n):
-        def f(t, gg):
-            return (2 * C2 @ dspec2(gg) + 1j * b0(yv, t) @ dspec(gg)
-                    + c0(yv, t) @ gg)
-        return _rk4(f, g, t_from, (t_to - t_from) / n, n)
-
-    ga = evolve_t(evolve_y(g0, t0, y0, y0 + dy_tot, substeps),
-                  y0 + dy_tot, t0, t0 + dt_tot, substeps)
-    gb = evolve_y(evolve_t(g0, y0, t0, t0 + dt_tot, substeps),
-                  t0 + dt_tot, y0, y0 + dy_tot, substeps)
+    g0 = np.broadcast_to(np.eye(2, dtype=complex), (n_line, 2, 2))
+    ga = sweep_t(sweep_y(g0, 0), span["y"])
+    gb = sweep_y(sweep_t(g0, 0.0), 2 * substeps)
     return float(np.abs(ga - gb).max())
 
 
 def lax_refinement_report(eq, fields, params, levels=3, n_line=16,
-                          substeps=4, cell=(0.2, 0.2)) -> dict:
+                          substeps=4) -> dict:
     """Defect across refinement levels (line resolution and step count both
     double per level; the cell stays fixed)."""
     return sg.refinement_study(
         lambda lv: lax_commutation_defect(
             eq, fields, params, n_line=n_line * 2**lv,
-            substeps=substeps * 2**lv, cell=cell), levels)
+            substeps=substeps * 2**lv), levels)
 
 
 # --- spin <-> soliton coefficient maps ---------------------------------------
@@ -596,8 +590,8 @@ def mix_coefficient_ops(u: np.ndarray, params: dict, grid: sg.GridSpec,
     alpha = get_alpha(params)
     a = params.get("a", -0.5)
     b = params.get("b", -0.5)
-    ux = sg.partial_data(u, grid, "x", accuracy)
-    uy = sg.partial_data(u, grid, "y", accuracy)
+    d = FDOps(grid, accuracy).d
+    ux, uy = d(u, "x"), d(u, "y")
     A1 = 1j * (alpha * (2 * b + 1) * uy - 2 * (2 * a * b + a + b) * ux)
     A2 = 1j * (4 * alpha**-1 * (2 * a * a * b + a * a + 2 * a * b + b) * ux
                - 2 * (2 * a * b + a + b) * uy)
@@ -620,13 +614,13 @@ def map_spin_coeffs(eq: str, k: np.ndarray, tau: np.ndarray, u: np.ndarray,
         a = params.get("a", -0.5)
         b = params.get("b", -0.5)
     ops = FDOps(grid, accuracy)
+    d = ops.d
     m2u = _m2_op(ops, u, alpha, a, b)
     kmask = np.abs(k) < k_tol
     if kmask.mean() > 0.10:
         raise DomainError("zero-curvature set exceeds the 10% mask budget")
     ksafe = np.where(kmask, 1.0, k)
-    ky = sg.partial_data(k, grid, "y", accuracy)
-    tauy = sg.partial_data(tau, grid, "y", accuracy)
+    ky, tauy = d(k, "y"), d(tau, "y")
     m2 = np.where(kmask, 0.0, -m2u / (2 * alpha**2 * ksafe))
     m1 = sg.antider_x_data(tauy - (beta / (2 * alpha**2)) * m2u, grid)
     m3 = sg.antider_x_data(
@@ -635,11 +629,8 @@ def map_spin_coeffs(eq: str, k: np.ndarray, tau: np.ndarray, u: np.ndarray,
     if not with_omega:
         return out
 
-    m3y = sg.partial_data(m3, grid, "y", accuracy)
-    m2y = sg.partial_data(m2, grid, "y", accuracy)
-    kx = sg.partial_data(k, grid, "x", accuracy)
-    ux = sg.partial_data(u, grid, "x", accuracy)
-    uy = sg.partial_data(u, grid, "y", accuracy)
+    m3y, m2y, kx = d(m3, "y"), d(m2, "y"), d(k, "x")
+    ux, uy = d(u, "x"), d(u, "y")
     if eq == "ishimori":
         w2 = -kx - alpha**2 * (m3y + m2 * m1) + 1j * m2 * ux
         w3 = (-k * tau + alpha**2 * (m2y - m3 * m1)
@@ -652,8 +643,7 @@ def map_spin_coeffs(eq: str, k: np.ndarray, tau: np.ndarray, u: np.ndarray,
         w2 = -c1 * kx - c2 * ky - alpha**2 * (m3y + m2 * m1) + m2 * A1
         w3 = (-c1 * k * tau - c2 * k * m1 + alpha**2 * (m2y - m3 * m1)
               + k * A2 + m3 * A1)
-    w2x = sg.partial_data(w2, grid, "x", accuracy)
-    w1 = np.where(kmask, 0.0, (-w2x + tau * w3) / ksafe)
+    w1 = np.where(kmask, 0.0, (-d(w2, "x") + tau * w3) / ksafe)
     out.update({"w1": w1, "w2": w2, "w3": w3})
     return out
 
@@ -671,9 +661,8 @@ def amplitude_phase(eq: str, k, tau, m1, m2, m3, params: dict,
     alpha = get_alpha(params)
     aR, aI = alpha.real, alpha.imag
     mod2 = abs(alpha) ** 2
-    ky = sg.partial_data(k, grid, "y", accuracy)
-    kx = sg.partial_data(k, grid, "x", accuracy)
-    m3x = sg.partial_data(m3, grid, "x", accuracy)
+    d = FDOps(grid, accuracy).d
+    ky, kx, m3x = d(k, "y"), d(k, "x"), d(m3, "x")
 
     if eq == "ishimori":
         a1p2 = (0.25 * k**2 + 0.25 * mod2 * (m3**2 + m2**2)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solgeo
-from solgeo import cli, frames
+from solgeo import cases, cli, frames, solitons
 from solgeo import grid as sg
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(solgeo.__file__)))
@@ -99,6 +99,42 @@ def test_check_lax(tmp_path):
     rep = load_report(rp)
     names = [c["name"] for c in rep["checks"]]
     assert "lax-zi-refinement" in names and "lax-zi-discrimination" in names
+
+
+def test_check_lax_uses_line_size(tmp_path):
+    rp = tmp_path / "r.json"
+    assert run(["check", "--kind", "lax", "--n", "32", "--refine", "2",
+                "--report", str(rp)]) == 0
+    ref = solitons.lax_refinement_report(
+        "zi", cases.planewave("zi")["callables"], {"lam": 0.3}, levels=2,
+        n_line=32)
+    check, = [c for c in load_report(rp)["checks"]
+              if c["name"] == "lax-zi-refinement"]
+    assert check["defects"] == ref["defects"]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv", [
+    ["check", "--eq", "zi", "--case", "planewave-zi"],
+    ["check", "--eq", "m3q", "--case", "zi-reduction"],
+    ["check", "--system", "mlxii", "--case", "pure-gauge", "--n", "8",
+     "--refine", "2"],
+    ["check", "--kind", "lambda", "--n", "8", "--refine", "2"],
+])
+def test_perturb_outside_lax_is_usage_error(argv, via, tmp_path, capsys):
+    # only the lax check runs a perturbed negative control; elsewhere the
+    # flag was recorded in the config and never applied
+    if via == "flag":
+        code = run(argv + ["--perturb"])
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"perturb": True}))
+        code = run(["--config", str(conf)] + argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("solgeo:") and "--perturb" in captured.err
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("refine", ["0", "1"])
@@ -283,6 +319,7 @@ def test_report_without_gated_check_fails(tmp_path, checks):
     ["surface", "--case", "cylinder", "--n", "1"],
     ["check", "--eq", "zi", "--case", "planewave-zi", "--n", "0"],
     ["check", "--eq", "m3q", "--case", "zi-reduction", "--seed", "-1"],
+    ["check", "--kind", "lax", "--n", "0", "--refine", "2"],
 ])
 def test_degenerate_size_or_seed_is_usage_error(argv, capsys):
     assert run(argv) == 2

@@ -264,6 +264,66 @@ def test_zii_lax_temporal_entries_satisfy_their_equations():
     assert abs(c11.mean()) < 1e-12 and abs(c22.mean()) < 1e-12
 
 
+def _zii_oracle_q(x, y, t):
+    # y-dependent, non-resonant at a = b = -1/2 and band-limited on a
+    # 16-point line, so spectral derivatives and interpolation are exact
+    return 0.3 * np.exp(1j * (x + 2 * y)) + 0.2 * np.exp(1j * (2 * x - y))
+
+
+def _zii_oracle_p(x, y, t):
+    return np.conj(_zii_oracle_q(x, y, t))
+
+
+def _periodic_xy(n, y_origin=0.0):
+    h = 2 * np.pi / n
+    return (sg.Axis("x", n, h, periodic=True),
+            sg.Axis("y", n, h, periodic=True, origin=y_origin))
+
+
+def test_zii_lax_axis_order_is_free():
+    # the Fourier solve of the C0 diagonal must follow the grid's axis
+    # order: a (y, x) grid gives the transpose of the (x, y) result
+    ax_x, ax_y = _periodic_xy(16)
+    params = {"a": 0.3, "b": 0.2}
+    lax = {}
+    for grid in (sg.GridSpec.make(ax_x, ax_y), sg.GridSpec.make(ax_y, ax_x)):
+        m = dict(zip(grid.names, grid.meshes()))
+        q = _zii_oracle_q(m["x"], m["y"], 0.0)
+        lax[grid.names] = solitons.build_lax(
+            "zii", {"q": q, "p": np.conj(q)}, params, grid=grid)
+    for key, xy in lax[("x", "y")].items():
+        yx = np.swapaxes(lax[("y", "x")][key], 0, 1)
+        assert np.abs(yx - xy).max() <= 1e-13, key
+
+
+def test_spectral_ops_exact_on_matrix_stack():
+    # derivatives along a non-leading periodic axis of a matrix stack, with
+    # a batch axis in front; trigonometric polynomials are differentiated
+    # and interpolated to rounding
+    grid = sg.GridSpec.make(sg.Axis("t", 5, 0.1),
+                            sg.Axis("x", 12, 2 * np.pi / 12, periodic=True),
+                            sg.Axis("y", 10, 2 * np.pi / 10, periodic=True,
+                                    origin=0.3))
+    t, x, y = grid.meshes()
+    coef = np.array([[1.0, 2j], [-0.5, 3.0]])
+    stack = lambda s: s[..., None, None] * coef
+    f = np.exp(1j * (2 * x - 3 * y)) + t * np.cos(x + 4 * y)
+    fx = 2j * np.exp(1j * (2 * x - 3 * y)) - t * np.sin(x + 4 * y)
+    fy = -3j * np.exp(1j * (2 * x - 3 * y)) - 4 * t * np.sin(x + 4 * y)
+    ops = solitons.SpectralOps(grid)
+    assert np.abs(ops.d(stack(f), "x") - stack(fx)).max() <= 1e-12
+    assert np.abs(ops.d(stack(f), "y") - stack(fy)).max() <= 1e-12
+    with pytest.raises(DomainError, match="periodic"):
+        ops.d(f, "t")
+    # off-node values, the Nyquist cosine included
+    g = lambda x, y: np.exp(1j * (2 * x - 3 * y)) + np.cos(5 * (y - 0.3))
+    at = np.array([0.0, 0.41, 2.9])
+    got = ops.interp(stack(g(x, y)), "y", at)
+    assert got.shape == (3, 5, 12, 2, 2)
+    for i, yv in enumerate(at):
+        assert np.abs(got[i] - stack(g(x[..., 0], yv))).max() <= 1e-12
+
+
 def test_zii_lax_resonant_mode_rejected():
     # at a = -1/2 the symbol vanishes on the line where half the x-frequency
     # equals the y-frequency; data exciting such a mode must be refused
@@ -323,6 +383,78 @@ def test_zii_commutation_defect_zero_field():
     d = solitons.lax_commutation_defect("zii", {"q": zero, "p": zero},
                                         {}, n_line=8, substeps=2)
     assert d == 0.0
+
+
+@pytest.mark.parametrize("eq", ["zi", "zii"])
+@pytest.mark.parametrize("size, match", [({"n_line": 0}, "n >= 4"),
+                                         ({"substeps": 1}, "substeps >= 2")])
+def test_commutation_defect_degenerate_sizes(eq, size, match):
+    # checked before the 2 pi line is divided by n_line and before a stage
+    # grid of fewer than four coordinates is built
+    with pytest.raises(DomainError, match=match):
+        solitons.lax_commutation_defect(eq, {}, {}, **size)
+
+
+def _zii_stagewise_defect(params, n, substeps, cell=(0.2, 0.2)):
+    """The zii commutation defect with every RK4 stage's generators built
+    afresh: build_lax on an (x, y) grid whose y-origin is the stage's y
+    (row 0 holds that y), spectral derivatives of the band-limited oracle
+    fields, and FFT derivatives of the state along the x-line."""
+    k = 2 * np.pi * np.fft.fftfreq(n, d=2 * np.pi / n)
+
+    def dx(g, order=1):
+        return np.fft.ifft((1j * k[:, None, None]) ** order
+                           * np.fft.fft(g, axis=0), axis=0)
+
+    def lax_at(y, t):
+        grid = sg.GridSpec.make(*_periodic_xy(n, y_origin=y))
+        xm, ym = grid.meshes()
+        lax = solitons.build_lax(
+            "zii", {"q": _zii_oracle_q(xm, ym, t),
+                    "p": _zii_oracle_p(xm, ym, t)},
+            params, grid=grid, ops=solitons.SpectralOps(grid))
+        return {key: m[:, 0] for key, m in lax.items()}
+
+    def rk4(rhs, g, span):
+        ds = span / substeps
+        for i in range(substeps):
+            s = i * ds
+            k1 = rhs(s, g)
+            k2 = rhs(s + ds / 2, g + ds / 2 * k1)
+            k3 = rhs(s + ds / 2, g + ds / 2 * k2)
+            k4 = rhs(s + ds, g + ds * k3)
+            g = g + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return g
+
+    def y_rhs(t):
+        def rhs(y, g):
+            m = lax_at(y, t)
+            return m["B1"] @ dx(g) + m["B0"] @ g  # alpha = 1
+        return rhs
+
+    def t_rhs(y):
+        def rhs(t, g):
+            m = lax_at(y, t)
+            return 2 * m["C2"] @ dx(g, 2) + m["C1"] @ dx(g) + m["C0"] @ g
+        return rhs
+
+    dy, dt = cell
+    g0 = np.broadcast_to(np.eye(2, dtype=complex), (n, 2, 2))
+    ga = rk4(t_rhs(dy), rk4(y_rhs(0.0), g0, dy), dt)
+    gb = rk4(y_rhs(dt), rk4(t_rhs(0.0), g0, dt), dy)
+    return float(np.abs(ga - gb).max())
+
+
+def test_zii_commutation_defect_matches_stagewise_reference():
+    # C0 read at the exact y of the sweep (not the nearest cell-grid node)
+    # and q_y, p_y differentiated spectrally (not by a 1e-5 difference)
+    params = {"a": -0.5, "b": -0.5}
+    got = solitons.lax_commutation_defect(
+        "zii", {"q": _zii_oracle_q, "p": _zii_oracle_p}, params,
+        n_line=16, substeps=4)
+    ref = _zii_stagewise_defect(params, 16, 4)
+    assert ref > 0.1
+    assert abs(got - ref) <= 1e-10 * ref
 
 
 def test_rk4_blow_up_names_step_and_norm():

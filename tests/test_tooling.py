@@ -1,7 +1,11 @@
 """The repository's tools outside the package: the benchmark tracer's
-targets must exist in solgeo, and the refinement-study script must run."""
+targets and the benchmark's calls must fit solgeo, and the
+refinement-study script must run."""
 
+import ast
+import importlib
 import importlib.util
+import inspect
 import os
 import subprocess
 import sys
@@ -25,6 +29,47 @@ def test_benchmark_tracer_targets_resolve():
         found = owner.__dict__.get(attr) if isinstance(owner, type) \
             else getattr(owner, attr, None)
         assert callable(found), (owner, attr)
+
+
+def test_benchmark_calls_bind_to_solgeo_signatures():
+    # every solgeo call the benchmark workloads make, bound to the current
+    # signature: an API change that drops a parameter they pass fails here
+    # rather than in a benchmark run (read only, like the test above)
+    with open(os.path.join(ROOT, "perfbench", "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    modules = {alias.asname or alias.name:
+               importlib.import_module(f"solgeo.{alias.name}")
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "solgeo"
+               for alias in node.names}
+    bound = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        chain, owner = [], node.func
+        while isinstance(owner, ast.Attribute):
+            chain.insert(0, owner.attr)
+            owner = owner.value
+        if not (chain and isinstance(owner, ast.Name)
+                and owner.id in modules):
+            continue
+        name = ".".join([owner.id, *chain])
+        target = modules[owner.id]
+        for attr in chain:
+            target = getattr(target, attr)
+        kwargs = {k.arg: None for k in node.keywords if k.arg}
+        # a *args or **kwargs call fixes only part of the binding
+        partial = (len(kwargs) < len(node.keywords)
+                   or any(isinstance(a, ast.Starred) for a in node.args))
+        sig = inspect.signature(target)
+        try:
+            (sig.bind_partial if partial else sig.bind)(
+                *[None] * len(node.args), **kwargs)
+        except TypeError as exc:
+            raise AssertionError(f"workloads.py:{node.lineno} {name}: {exc}")
+        bound.add(name)
+    assert {"solitons.lax_commutation_defect",
+            "solitons.lax_refinement_report"} <= bound
 
 
 def test_refinement_study_script_ratios():

@@ -106,6 +106,18 @@ def test_pure_gauge_matches_rotation_product(names, perturb):
         assert np.array_equal(f.data, ref[key]), key
 
 
+@pytest.mark.parametrize("axes, perturb, match", [
+    (("x", "t"), 0.1, "must include y"),
+    (("x", "z"), 0.0, "choose from x, y, t"),
+])
+def test_pure_gauge_bad_axes_are_domain_errors(axes, perturb, match):
+    # the perturbation lives in B, the y-potential, and only x, y, t have
+    # a potential; either mistake was a bare KeyError
+    with pytest.raises(DomainError, match=match):
+        cases.pure_gauge_connection(cases.default_grid_gauge(6), axes=axes,
+                                    perturb=perturb)
+
+
 def test_hot_builders_build_no_dense_meshes(monkeypatch):
     # the grid-kernel builders broadcast sparse coordinates; a dense mesh
     # here costs a full-grid copy per axis
