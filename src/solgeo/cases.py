@@ -79,13 +79,13 @@ def planewave(eq: str, k: float = 1.0, l: float = 2.0, v0: float = 1.0,
     return fields
 
 
-def default_grid_xyt(n: int = 24, length: float = 2 * np.pi,
-                     periodic: bool = True) -> sg.GridSpec:
-    n = _points(n)
+def default_grid_xyt(n: int = 24) -> sg.GridSpec:
+    """n^3 periodic grid over (x, y, t) in [0, 2 pi)^3."""
+    h = 2 * np.pi / _points(n)
     return sg.GridSpec.make(
-        sg.Axis("x", n, length / n, periodic=periodic),
-        sg.Axis("y", n, length / n, periodic=periodic),
-        sg.Axis("t", n, length / n, periodic=periodic),
+        sg.Axis("x", n, h, periodic=True),
+        sg.Axis("y", n, h, periodic=True),
+        sg.Axis("t", n, h, periodic=True),
     )
 
 
@@ -266,9 +266,8 @@ SURFACE_CASES = {"sphere-patch": sphere_patch, "cylinder": cylinder,
                  "plane": plane}
 
 
-def random_smooth(grid: sg.GridSpec, rng, scale: float = 1.0,
-                  nmodes: int = 4, complex_valued: bool = True) -> np.ndarray:
-    """Seeded band-limited random field: a short sum of low-wavenumber
+def random_smooth(grid: sg.GridSpec, rng, scale: float = 1.0) -> np.ndarray:
+    """Seeded band-limited random field: a sum of four low-wavenumber
     complex exponentials, smooth on any grid.
 
     On fully periodic grids the wavevectors are integers so the field is
@@ -276,15 +275,15 @@ def random_smooth(grid: sg.GridSpec, rng, scale: float = 1.0,
     integer_modes = all(a.periodic for a in grid.axes)
     meshes = grid.meshes(sparse=True)
     data = np.zeros(grid.shape, dtype=complex)
-    for _ in range(nmodes):
+    for _ in range(4):
         if integer_modes:
             k = rng.integers(-2, 3, size=len(grid.axes)).astype(float)
         else:
             k = rng.uniform(-2.0, 2.0, size=len(grid.axes))
-        amp = (rng.normal() + 1j * rng.normal()) * scale / nmodes
+        amp = (rng.normal() + 1j * rng.normal()) * scale / 4
         phase = sum(ki * m for ki, m in zip(k, meshes))
         data += amp * np.exp(1j * phase)
-    return data if complex_valued else data.real
+    return data
 
 
 def random_connection(grid: sg.GridSpec, rng, names=("A", "B", "C"),

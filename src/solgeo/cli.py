@@ -200,9 +200,6 @@ def cmd_surface(args):
         raise DomainError(f"unknown surface case {args.case!r}")
     s = cases.SURFACE_CASES[args.case](args.n)
     result = frames.reconstruct_surface(s)
-    if result.gmce_residual_max > 1.0:
-        raise ConstraintError("compatibility residual above hard ceiling",
-                              defect=result.gmce_residual_max)
     if args.out:
         frames.export_obj(args.out, result.position)
     hmax = max(a.h for a in s.grid.axes)
@@ -216,7 +213,7 @@ def cmd_surface(args):
         "max": result.gmce_residual_max,
         "tol": 1.0,
         "flagged": result.gmce_flagged,
-        "passed": True,
+        "passed": bool(result.gmce_residual_max <= 1.0),
     }]
     return checks
 

@@ -236,14 +236,13 @@ class ReconstructionResult:
     gmce_flagged: bool
 
 
-def reconstruct_surface(s: SurfaceData, r0=(0.0, 0.0, 0.0), frame0=None,
-                        orientation: int = 1,
-                        gmce_threshold_factor: float = 10.0) -> ReconstructionResult:
+def reconstruct_surface(s: SurfaceData) -> ReconstructionResult:
     """Integrate the position-vector linear problem along x at y_min, then
     along y for every x (fixed sweep order), and recover r by trapezoidal
     integration of the propagated tangents.
 
-    orientation is the sign of n relative to r_x ^ r_y in the data.
+    The surface starts at the origin with the standard frame, n along
+    r_x ^ r_y; the GMCE residual is flagged above 10 h_min^2.
     """
     s.check_metric()
     g = s.grid
@@ -252,15 +251,13 @@ def reconstruct_surface(s: SurfaceData, r0=(0.0, 0.0, 0.0), frame0=None,
     nx, ny = g.shape
     A, B = gwe_matrices(s)
 
-    if frame0 is None:
-        frame0 = FrameTriad.standard()
-    e1, e2, e3 = frame0.e1, frame0.e2, frame0.e3
+    e1, e2, e3 = np.eye(3)
     E0 = s.E[0, 0]
     F0 = s.F[0, 0]
     g0 = s.g[0, 0]
     Z0 = np.stack([
         np.sqrt(E0) * e1,
-        (F0 / np.sqrt(E0)) * e1 - orientation * np.sqrt(g0 / E0) * e3,
+        (F0 / np.sqrt(E0)) * e1 - np.sqrt(g0 / E0) * e3,
         e2,
     ])
 
@@ -273,10 +270,8 @@ def reconstruct_surface(s: SurfaceData, r0=(0.0, 0.0, 0.0), frame0=None,
     nrm = Z[..., 2, :]
 
     r = np.empty((nx, ny, 3))
-    base = np.asarray(r0, dtype=float) + np.concatenate(
-        [np.zeros((1, 3)), np.cumsum(0.5 * hx * (rx[:-1, 0] + rx[1:, 0]), axis=0)]
-    )
-    r[:, 0] = base
+    r[0, 0] = 0.0
+    r[1:, 0] = np.cumsum(0.5 * hx * (rx[:-1, 0] + rx[1:, 0]), axis=0)
     incr = np.cumsum(0.5 * hy * (ry[:, :-1] + ry[:, 1:]), axis=1)
     r[:, 1:] = r[:, :1] + incr
 
@@ -287,7 +282,7 @@ def reconstruct_surface(s: SurfaceData, r0=(0.0, 0.0, 0.0), frame0=None,
     res = gmce_residual(A, B)
     res_max = float(np.abs(res).max())
     hmin = min(hx, hy)
-    flagged = res_max > gmce_threshold_factor * hmin**2
+    flagged = res_max > 10.0 * hmin**2
 
     return ReconstructionResult(
         position=PositionField(g, r),
@@ -298,7 +293,7 @@ def reconstruct_surface(s: SurfaceData, r0=(0.0, 0.0, 0.0), frame0=None,
     )
 
 
-def time_christoffels(s: SurfaceData, accuracy: int = 2) -> dict:
+def time_christoffels(s: SurfaceData) -> dict:
     """The three printed time-direction Christoffel formulas, exposed under
     neutral names because their upper-index labels look misprinted (the
     right-hand sides of the second and third suggest upper indices 2 and 3):
@@ -314,7 +309,7 @@ def time_christoffels(s: SurfaceData, accuracy: int = 2) -> dict:
     if missing:
         raise DomainError(f"upsilon fields missing {missing}")
     y1, y2, y3 = s.upsilon["1"], s.upsilon["2"], s.upsilon["3"]
-    dx = lambda f: sg.partial_data(f, s.grid, "x", accuracy)
+    dx = lambda f: sg.partial_data(f, s.grid, "x")
     out = {
         "c01a": dx(y1) + y1 * s.gamma["111"] + y2 * s.gamma["112"] + y3 * s.p11,
         "c01b": dx(y2) + y1 * s.gamma["211"] + y2 * s.gamma["212"] + y3 * s.p12,

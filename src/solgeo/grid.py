@@ -103,55 +103,30 @@ class MatrixField:
             )
 
 
-# one-sided first-derivative stencils, offsets from the boundary point
-_EDGE2 = np.array([-1.5, 2.0, -0.5])
-_EDGE4_0 = np.array([-25.0 / 12.0, 4.0, -3.0, 4.0 / 3.0, -0.25])
-_EDGE4_1 = np.array([-0.25, -5.0 / 6.0, 1.5, -0.5, 1.0 / 12.0])
-
-
-def diff_axis(data: np.ndarray, axis: int, h: float, periodic: bool,
-              accuracy: int = 2) -> np.ndarray:
-    """First derivative along one array axis; central in the interior,
-    same-order one-sided stencils on open boundaries, wrap-around when
-    periodic."""
-    if accuracy not in (2, 4):
-        raise DomainError("accuracy must be 2 or 4")
+def diff_axis(data: np.ndarray, axis: int, h: float,
+              periodic: bool) -> np.ndarray:
+    """Second-order first derivative along one array axis; central in the
+    interior, one-sided on open boundaries, wrap-around when periodic."""
     n = data.shape[axis]
-    if n < accuracy + 1:
-        raise DomainError(f"need at least {accuracy + 1} points, got {n}")
+    if n < 3:
+        raise DomainError(f"need at least 3 points, got {n}")
     f = np.moveaxis(data, axis, 0)
     out = np.empty_like(f, dtype=np.result_type(f.dtype, float))
-    if accuracy == 2:
-        if periodic:
-            out[:] = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * h)
-        else:
-            out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
-            out[0] = (_EDGE2[0] * f[0] + _EDGE2[1] * f[1] + _EDGE2[2] * f[2]) / h
-            out[-1] = -(_EDGE2[0] * f[-1] + _EDGE2[1] * f[-2] + _EDGE2[2] * f[-3]) / h
+    if periodic:
+        out[:] = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * h)
     else:
-        if periodic:
-            out[:] = (
-                -np.roll(f, -2, axis=0)
-                + 8 * np.roll(f, -1, axis=0)
-                - 8 * np.roll(f, 1, axis=0)
-                + np.roll(f, 2, axis=0)
-            ) / (12 * h)
-        else:
-            out[2:-2] = (-f[4:] + 8 * f[3:-1] - 8 * f[1:-3] + f[:-4]) / (12 * h)
-            out[0] = sum(c * f[j] for j, c in enumerate(_EDGE4_0)) / h
-            out[1] = sum(c * f[j] for j, c in enumerate(_EDGE4_1)) / h
-            out[-1] = -sum(c * f[-1 - j] for j, c in enumerate(_EDGE4_0)) / h
-            out[-2] = -sum(c * f[-1 - j] for j, c in enumerate(_EDGE4_1)) / h
+        out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
+        out[0] = (-1.5 * f[0] + 2.0 * f[1] - 0.5 * f[2]) / h
+        out[-1] = -(-1.5 * f[-1] + 2.0 * f[-2] - 0.5 * f[-3]) / h
     return np.moveaxis(out, 0, axis)
 
 
-def partial_data(data: np.ndarray, grid: GridSpec, axis_name: str,
-                 accuracy: int = 2) -> np.ndarray:
+def partial_data(data: np.ndarray, grid: GridSpec, axis_name: str) -> np.ndarray:
     """Finite-difference partial derivative along a named axis of a bare
     array whose leading axes follow grid (Scalar- or MatrixField data)."""
     ax_i = grid.index(axis_name)
     ax = grid.axes[ax_i]
-    return diff_axis(data, ax_i, ax.h, ax.periodic, accuracy)
+    return diff_axis(data, ax_i, ax.h, ax.periodic)
 
 
 def antider_x(field):

@@ -26,6 +26,13 @@ def get_alpha(params: dict) -> complex:
     return complex(params.get("alpha_re", 1.0), params.get("alpha_im", 0.0))
 
 
+def _nonzero(value, name):
+    """value, or a DomainError naming the parameter a map divides by."""
+    if value == 0:
+        raise DomainError(f"{name} must be nonzero")
+    return value
+
+
 @dataclass(frozen=True)
 class ComplexPair:
     """Soliton fields (q, p) with the potentials the equation needs."""
@@ -54,12 +61,11 @@ class Spin:
 class FDOps:
     """Finite-difference derivatives on sampled arrays."""
 
-    def __init__(self, grid: sg.GridSpec, accuracy: int = 2):
+    def __init__(self, grid: sg.GridSpec):
         self.grid = grid
-        self.accuracy = accuracy
 
     def d(self, f, axis):
-        return sg.partial_data(np.asarray(f), self.grid, axis, self.accuracy)
+        return sg.partial_data(np.asarray(f), self.grid, axis)
 
     def finalize(self, f):
         return np.asarray(f)
@@ -122,9 +128,9 @@ class SpectralOps:
         return np.asarray(f)
 
 
-def _ops(grid, mode, accuracy):
+def _ops(grid, mode):
     if mode == "fd":
-        return FDOps(grid, accuracy)
+        return FDOps(grid)
     if mode == "analytic":
         return WaveOps(grid)
     raise DomainError(f"unknown mode {mode!r}")
@@ -176,7 +182,7 @@ def _unpack(fields: dict, grid):
 
 
 def pde_residual(eq: str, fields: dict, params: dict | None = None,
-                 mode: str = "fd", accuracy: int = 2, grid=None) -> dict:
+                 mode: str = "fd", grid=None) -> dict:
     """One residual array per printed equation line.
 
     In "fd" mode the fields are sampled arrays on `grid` (or on the grid of
@@ -186,7 +192,7 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
     """
     params = params or {}
     fields, grid = _unpack(fields, grid)
-    ops = _ops(grid, mode, accuracy)
+    ops = _ops(grid, mode)
     d = ops.d
     alpha = get_alpha(params)
 
@@ -270,7 +276,7 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
         S, u = fields["S"], fields["u"]
         a = params.get("a", -0.5)
         b = params.get("b", -0.5)
-        coeffs = mix_coefficient_ops(u, params, grid, accuracy)
+        coeffs = mix_coefficient_ops(u, params, grid)
         A1, A2 = coeffs["A1"], coeffs["A2"]
         Sx, Sy, St = d(S, "x"), d(S, "y"), d(S, "t")
         m1S = np.stack([_m1_op(ops, S[..., i], alpha, a, b)
@@ -348,6 +354,8 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
     if eq == "mi":
         S, u = fields["S"], fields["u"]
         r2sign = int(fields.get("r2", params.get("r2", 1)))
+        if r2sign not in (1, -1):
+            raise DomainError("r2 must be +1 or -1")
         # r is lifted as 1 (r2=+1) or i (r2=-1) inside the complex Lax
         # matrices; the stored spin field itself never carries the i.
         r = 1.0 if r2sign == 1 else 1.0j
@@ -534,7 +542,7 @@ def _zi_defect(fields, params, n_line, substeps):
 
 
 def _zii_defect(fields, params, n_line, substeps):
-    alpha = get_alpha(params)
+    alpha = _nonzero(get_alpha(params), "alpha (alpha_re + i alpha_im)")
     span = dict(zip(("y", "t"), LAX_CELL))
     line = _periodic_line("x", n_line)
     d_line = SpectralOps(sg.GridSpec.make(line)).d
@@ -580,17 +588,17 @@ def lax_refinement_report(eq, fields, params, levels=3, n_line=16,
 
 # --- spin <-> soliton coefficient maps ---------------------------------------
 
-def mix_coefficient_ops(u: np.ndarray, params: dict, grid: sg.GridSpec,
-                        accuracy: int = 2) -> dict:
+def mix_coefficient_ops(u: np.ndarray, params: dict,
+                        grid: sg.GridSpec) -> dict:
     """Scalar coefficient fields of the anisotropic spin system:
 
     A1 = i(alpha (2b+1) u_y - 2(2ab+a+b) u_x)
     A2 = i(4 alpha^-1 (2a^2 b + a^2 + 2ab + b) u_x - 2(2ab+a+b) u_y).
     """
-    alpha = get_alpha(params)
+    alpha = _nonzero(get_alpha(params), "alpha (alpha_re + i alpha_im)")
     a = params.get("a", -0.5)
     b = params.get("b", -0.5)
-    d = FDOps(grid, accuracy).d
+    d = FDOps(grid).d
     ux, uy = d(u, "x"), d(u, "y")
     A1 = 1j * (alpha * (2 * b + 1) * uy - 2 * (2 * a * b + a + b) * ux)
     A2 = 1j * (4 * alpha**-1 * (2 * a * a * b + a * a + 2 * a * b + b) * ux
@@ -599,24 +607,24 @@ def mix_coefficient_ops(u: np.ndarray, params: dict, grid: sg.GridSpec,
 
 
 def map_spin_coeffs(eq: str, k: np.ndarray, tau: np.ndarray, u: np.ndarray,
-                    params: dict, grid: sg.GridSpec, with_omega: bool = False,
-                    accuracy: int = 2, k_tol: float = 1e-12) -> dict:
+                    params: dict, grid: sg.GridSpec,
+                    with_omega: bool = False) -> dict:
     """Frame coefficients (m1, m2, m3[, w1..w3]) from curvature, torsion and
     the scalar potential.  eq "ishimori" fixes the operator at a = b = -1/2
     and uses the focusing/defocusing sign beta in the epsilon slot."""
     if eq not in ("ishimori", "mix"):
         raise DomainError(f"no spin-coefficient map for {eq!r}")
-    alpha = get_alpha(params)
+    alpha = _nonzero(get_alpha(params), "alpha (alpha_re + i alpha_im)")
     beta = params.get("beta", 1)
     if eq == "ishimori":
         a = b = -0.5
     else:
         a = params.get("a", -0.5)
         b = params.get("b", -0.5)
-    ops = FDOps(grid, accuracy)
+    ops = FDOps(grid)
     d = ops.d
     m2u = _m2_op(ops, u, alpha, a, b)
-    kmask = np.abs(k) < k_tol
+    kmask = np.abs(k) < 1e-12
     if kmask.mean() > 0.10:
         raise DomainError("zero-curvature set exceeds the 10% mask budget")
     ksafe = np.where(kmask, 1.0, k)
@@ -636,7 +644,7 @@ def map_spin_coeffs(eq: str, k: np.ndarray, tau: np.ndarray, u: np.ndarray,
         w3 = (-k * tau + alpha**2 * (m2y - m3 * m1)
               + 1j * k * uy + 1j * m3 * ux)
     else:
-        coeffs = mix_coefficient_ops(u, params, grid, accuracy)
+        coeffs = mix_coefficient_ops(u, params, grid)
         A1, A2 = coeffs["A1"], coeffs["A2"]
         c1 = 4 * (a * a - 2 * a * b - b)
         c2 = 4 * alpha * (b - a)
@@ -650,7 +658,7 @@ def map_spin_coeffs(eq: str, k: np.ndarray, tau: np.ndarray, u: np.ndarray,
 
 def amplitude_phase(eq: str, k, tau, m1, m2, m3, params: dict,
                     grid: sg.GridSpec, A=None, D=None,
-                    with_phase: bool = False, accuracy: int = 2) -> dict:
+                    with_phase: bool = False) -> dict:
     """Squared amplitudes and gamma integrands of the soliton fields, plus
     the phases (and q, p) when requested.
 
@@ -661,7 +669,7 @@ def amplitude_phase(eq: str, k, tau, m1, m2, m3, params: dict,
     alpha = get_alpha(params)
     aR, aI = alpha.real, alpha.imag
     mod2 = abs(alpha) ** 2
-    d = FDOps(grid, accuracy).d
+    d = FDOps(grid).d
     ky, kx, m3x = d(k, "y"), d(k, "x"), d(m3, "x")
 
     if eq == "ishimori":
@@ -677,8 +685,8 @@ def amplitude_phase(eq: str, k, tau, m1, m2, m3, params: dict,
                     + 0.5 * aR * (k**2 * m1 + m3 * k * tau + m2 * kx)
                     + 0.5 * aI * (k * (2 * ky - m3x) - kx * m3))
     else:
-        ca = complex(params.get("a", -0.5))
-        cb = complex(params.get("b", -0.5))
+        ca = _nonzero(complex(params.get("a", -0.5)), "a")
+        cb = _nonzero(complex(params.get("b", -0.5)), "b")
         # l is never pinned down by the source; default non-authoritative
         l = params.get("l", ca.real)
         ab = abs(ca) ** 2 / abs(cb) ** 2
@@ -687,7 +695,7 @@ def amplitude_phase(eq: str, k, tau, m1, m2, m3, params: dict,
         a2p2 = (l**2 * k**2 + 0.25 * mod2 * (m3**2 + m2**2)
                 - l * aR * k * m3 + l * aI * k * m2)
         a1sq = ab * a1p2
-        a2sq = a1p2 * 0 + (1.0 / ab) * a2p2
+        a2sq = (1.0 / ab) * a2p2
         g1 = 1j * (2 * (l + 1) ** 2 * k**2 * tau
                    + 0.5 * mod2 * (m3 * k * m1 + m2 * ky)
                    - (l + 1) * aR * (k**2 * m1 + m3 * k * tau + m2 * kx)

@@ -24,8 +24,7 @@ def _check_conn(conn: dict, names) -> sg.GridSpec:
     return conn[names[0]].grid
 
 
-def zc_residual(system: str, conn: dict, params: dict | None = None,
-                accuracy: int = 2) -> dict:
+def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
     """One residual array per printed equation line of the named system.
 
     Systems: gmce {A,B}; mlxii/uvw {A,B,C}; bogomolny {Phi,A,B,C};
@@ -33,8 +32,7 @@ def zc_residual(system: str, conn: dict, params: dict | None = None,
     mlxx4d {A,B,C,D}; mlxx4d_scalar {B,D} (params a, b); sdym4d {A1..A4}.
     """
     params = params or {}
-    d = lambda name, ax: sg.partial_data(conn[name].data, conn[name].grid,
-                                         ax, accuracy)
+    d = lambda name, ax: sg.partial_data(conn[name].data, conn[name].grid, ax)
     c = lambda x, y: commutator(conn[x].data, conn[y].data)
 
     if system == "gmce":
@@ -133,38 +131,31 @@ def embed_sdym(A: sg.MatrixField, B: sg.MatrixField, C: sg.MatrixField) -> dict:
     }
 
 
-def sdym_complex_residuals(pot: dict, accuracy: int = 2) -> dict:
+def sdym_complex_residuals(pot: dict) -> dict:
     """The three self-duality residuals F_ab = 0, F_abar_bbar = 0,
     F_a_abar + F_b_bbar = 0 of a z-independent complex-coordinate potential,
     with d_a = -i d_t, d_abar = i d_t, d_b = d_x - i d_y, d_bbar = d_x + i d_y.
     """
     g = pot["a"].grid
 
-    def da(f):
-        return -1j * sg.partial_data(f.data, g, "t", accuracy)
-
-    def dabar(f):
-        return 1j * sg.partial_data(f.data, g, "t", accuracy)
-
-    def db(f):
-        return (sg.partial_data(f.data, g, "x", accuracy)
-                - 1j * sg.partial_data(f.data, g, "y", accuracy))
-
-    def dbbar(f):
-        return (sg.partial_data(f.data, g, "x", accuracy)
-                + 1j * sg.partial_data(f.data, g, "y", accuracy))
+    def d(direction, name):
+        f = pot[name].data
+        i = 1j if direction.endswith("bar") else -1j
+        if direction in ("a", "abar"):
+            return i * sg.partial_data(f, g, "t")
+        return sg.partial_data(f, g, "x") + i * sg.partial_data(f, g, "y")
 
     Aa, Ab = pot["a"].data, pot["b"].data
     Aabar, Abbar = pot["abar"].data, pot["bbar"].data
-    f_ab = da(pot["b"]) - db(pot["a"]) + commutator(Aa, Ab)
-    f_abar_bbar = dabar(pot["bbar"]) - dbbar(pot["abar"]) + commutator(Aabar, Abbar)
-    f_a_abar = da(pot["abar"]) - dabar(pot["a"]) + commutator(Aa, Aabar)
-    f_b_bbar = db(pot["bbar"]) - dbbar(pot["b"]) + commutator(Ab, Abbar)
+    f_ab = d("a", "b") - d("b", "a") + commutator(Aa, Ab)
+    f_abar_bbar = d("abar", "bbar") - d("bbar", "abar") + commutator(Aabar, Abbar)
+    f_a_abar = d("a", "abar") - d("abar", "a") + commutator(Aa, Aabar)
+    f_b_bbar = d("b", "bbar") - d("bbar", "b") + commutator(Ab, Abbar)
     return {"ab": f_ab, "abar_bbar": f_abar_bbar, "trace": f_a_abar + f_b_bbar}
 
 
 def embedding_identity_defect(A: sg.MatrixField, B: sg.MatrixField,
-                              C: sg.MatrixField, accuracy: int = 2) -> float:
+                              C: sg.MatrixField) -> float:
     """Exact linear-combination identity between the self-duality residuals
     of the embedded potential and the three-matrix compatibility residuals.
 
@@ -179,14 +170,14 @@ def embedding_identity_defect(A: sg.MatrixField, B: sg.MatrixField,
     and this function returns the worst entrywise defect of all three lines.
     """
     pot = embed_sdym(A, B, C)
-    sd = sdym_complex_residuals(pot, accuracy)
+    sd = sdym_complex_residuals(pot)
     g = A.grid
     neg = {
         "A": sg.MatrixField(g, -A.data),
         "B": sg.MatrixField(g, -B.data),
         "C": sg.MatrixField(g, -C.data),
     }
-    r = zc_residual("mlxii", neg, accuracy=accuracy)
+    r = zc_residual("mlxii", neg)
     d1 = sd["ab"] - (1j * r["xt"] + r["yt"])
     d2 = sd["abar_bbar"] - (-1j * r["xt"] + r["yt"])
     d3 = sd["trace"] - 2j * r["xy"]
@@ -212,7 +203,7 @@ class Curvature2Form:
         return -self.comps[f"{nu}{mu}"]
 
 
-def curvature(pot: dict, accuracy: int = 2) -> Curvature2Form:
+def curvature(pot: dict) -> Curvature2Form:
     """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] for a four-potential
     {A1..A4} over xi1..xi4."""
     g = _check_conn(pot, ("A1", "A2", "A3", "A4"))
@@ -222,8 +213,8 @@ def curvature(pot: dict, accuracy: int = 2) -> Curvature2Form:
         am = pot[f"A{mu}"]
         an = pot[f"A{nu}"]
         comps[key] = (
-            sg.partial_data(an.data, g, f"xi{mu}", accuracy)
-            - sg.partial_data(am.data, g, f"xi{nu}", accuracy)
+            sg.partial_data(an.data, g, f"xi{mu}")
+            - sg.partial_data(am.data, g, f"xi{nu}")
             + commutator(am.data, an.data)
         )
     return Curvature2Form(g, comps)
@@ -309,10 +300,10 @@ def lambda_field(kind: str, params: dict, g: sg.GridSpec) -> SpectralField:
     return SpectralField(g, kind, dict(params), lam, mask)
 
 
-def _dilate_mask(mask: np.ndarray, cells: int) -> np.ndarray:
+def _dilate_mask(mask: np.ndarray) -> np.ndarray:
     out = mask.copy()
     for ax in range(mask.ndim):
-        for s in range(1, cells + 1):
+        for s in (1, 2):
             for sign in (s, -s):
                 shifted = np.roll(mask, sign, axis=ax)
                 # roll wraps; the wrapped slab is conservative (extra masking)
@@ -320,15 +311,15 @@ def _dilate_mask(mask: np.ndarray, cells: int) -> np.ndarray:
     return out
 
 
-def lambda_residual(f: SpectralField, accuracy: int = 2) -> dict:
+def lambda_residual(f: SpectralField) -> dict:
     """Finite-difference residuals of the defining first-order equations,
-    with the pole mask dilated to cover stencil reach.  Returns residual
-    arrays plus the evaluation mask under key "mask"."""
+    with the pole mask dilated by 2 cells to cover stencil reach.  Returns
+    residual arrays plus the evaluation mask under key "mask"."""
     g = f.grid
 
     def d(name):
         if name in g.names:
-            return sg.partial_data(f.lam, g, name, accuracy)
+            return sg.partial_data(f.lam, g, name)
         return np.zeros_like(f.lam)
 
     if f.kind == "sdym_xi":
@@ -342,7 +333,7 @@ def lambda_residual(f: SpectralField, accuracy: int = 2) -> dict:
         d_bbar = d("x") + 1j * d("y")
         res = {"beta": d_b - f.lam * d_abar, "alpha": d_a + f.lam * d_bbar}
 
-    mask = _dilate_mask(f.mask, accuracy // 2 + 1)
+    mask = _dilate_mask(f.mask)
     res["mask"] = mask
     return res
 

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -195,6 +196,23 @@ def test_surface_command(tmp_path):
     rep = load_report(rp)
     mixed = next(c for c in rep["checks"] if "mixed-partial" in c["name"])
     assert mixed["max"] <= mixed["tol"]
+
+
+def test_surface_compatibility_gate_can_fail(tmp_path, monkeypatch, capsys):
+    # a compatibility residual above the 1.0 ceiling fails the named check
+    # in a written report instead of aborting the run without one
+    real = frames.reconstruct_surface
+    monkeypatch.setattr(frames, "reconstruct_surface", lambda s:
+                        dataclasses.replace(real(s), gmce_residual_max=2.0))
+    rp = tmp_path / "r.json"
+    assert run(["surface", "--case", "cylinder", "--n", "9",
+                "--report", str(rp)]) == 1
+    rep = load_report(rp)
+    assert rep["passed"] is False
+    compat = next(c for c in rep["checks"] if "compatibility" in c["name"])
+    assert compat["name"] == "surface-cylinder-compatibility"
+    assert compat["max"] == 2.0 and compat["passed"] is False
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_surface_unknown_case():

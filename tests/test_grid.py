@@ -38,39 +38,32 @@ def test_field_shape_validation():
 
 
 def test_partial_exact_on_cubic():
-    # the 2nd-order interior stencil and edge stencils are exact on
-    # quadratics; the 4th-order ones on quartics
+    # the interior stencil and edge stencils are exact on quadratics
     g = grid1d(17)
     x = g.coords("x")
     assert np.abs(sg.partial_data(x**2, g, "x") - 2 * x).max() < 1e-12
-    assert np.abs(sg.partial_data(x**4, g, "x", accuracy=4)
-                  - 4 * x**3).max() < 1e-11
 
 
-@pytest.mark.parametrize("accuracy,expect", [(2, 4.0), (4, 16.0)])
-def test_partial_convergence_order(accuracy, expect):
+def test_partial_convergence_order():
     errs = []
     for n in (17, 33, 65):
         g = grid1d(n)
         x = g.coords("x")
-        d = sg.partial_data(np.sin(3 * x), g, "x", accuracy)
+        d = sg.partial_data(np.sin(3 * x), g, "x")
         errs.append(np.abs(d - 3 * np.cos(3 * x)).max())
     for e0, e1 in zip(errs, errs[1:]):
-        assert e0 / e1 == pytest.approx(expect, rel=0.25)
+        assert e0 / e1 == pytest.approx(4.0, rel=0.25)
 
 
-@pytest.mark.parametrize("accuracy", [2, 4])
-def test_partial_periodic_wraps(accuracy):
+def test_partial_periodic_wraps():
     g = grid1d(32, periodic=True, length=2 * np.pi)
     x = g.coords("x")
-    d = sg.partial_data(np.sin(x), g, "x", accuracy)
-    tol = 7e-3 if accuracy == 2 else 1e-4
-    assert np.abs(d - np.cos(x)).max() < tol
+    d = sg.partial_data(np.sin(x), g, "x")
+    assert np.abs(d - np.cos(x)).max() < 7e-3
 
 
-@pytest.mark.parametrize("accuracy", [2, 4])
 @pytest.mark.parametrize("dtype", [float, complex])
-def test_periodic_diff_axis_matches_roll_form(accuracy, dtype):
+def test_periodic_diff_axis_matches_roll_form(dtype):
     # the wrap-around stencil must equal the np.roll form bit for bit, on
     # every axis of a matrix-valued stack
     rng = np.random.default_rng(4)
@@ -81,11 +74,8 @@ def test_periodic_diff_axis_matches_roll_form(accuracy, dtype):
     for f in (data, data[:, 0, 0, 0, 0]):
         for axis in range(f.ndim):
             r = lambda s: np.roll(f, s, axis=axis)
-            if accuracy == 2:
-                ref = (r(-1) - r(1)) / (2 * h)
-            else:
-                ref = (-r(-2) + 8 * r(-1) - 8 * r(1) + r(2)) / (12 * h)
-            got = sg.diff_axis(f, axis, h, True, accuracy)
+            ref = (r(-1) - r(1)) / (2 * h)
+            got = sg.diff_axis(f, axis, h, True)
             assert got.dtype == ref.dtype
             assert np.array_equal(got, ref), (f.ndim, axis)
 
@@ -127,7 +117,7 @@ def test_partial_linearity(a, b):
 def test_antider_x_inverts_derivative():
     g = grid1d(201)
     x = g.coords("x")
-    f = sg.ScalarField(g, sg.partial_data(np.sin(4 * x), g, "x", accuracy=4))
+    f = sg.ScalarField(g, sg.partial_data(np.sin(4 * x), g, "x"))
     back = sg.antider_x(f)
     # antiderivative is gauged to zero at the x minimum
     expect = np.sin(4 * x) - np.sin(4 * x[0])

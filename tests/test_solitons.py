@@ -358,6 +358,16 @@ def test_build_lax_bare_arrays_need_a_grid():
         solitons.build_lax("zi", {"q": z, "p": z, "v": z})
 
 
+@pytest.mark.parametrize("fields,params", [({"r2": 0}, {}), ({}, {"r2": 5})])
+def test_mi_r2_outside_the_two_signs_is_domain_error(fields, params):
+    # the Lax builder and the residual refuse the same signature sign
+    sp = cases.uniform_spin(_grid(6))
+    f = {"S": sp.S, "u": sp.u, **fields}
+    for build in (solitons.build_lax, solitons.pde_residual):
+        with pytest.raises(DomainError, match="r2 must be"):
+            build("mi", f, params, grid=sp.grid)
+
+
 # --- commutation defects ------------------------------------------------------
 
 def test_zi_commutation_defect_refines():
@@ -605,6 +615,28 @@ def test_amplitude_phase_unknown_equation():
     zero = np.zeros(grid.shape)
     with pytest.raises(DomainError):
         solitons.amplitude_phase("zi", zero, zero, zero, zero, zero, {}, grid)
+
+
+@pytest.mark.parametrize("name,call", [
+    ("alpha", lambda g, z: solitons.mix_coefficient_ops(
+        z, {"alpha_re": 0.0}, g)),
+    ("alpha", lambda g, z: solitons.pde_residual(
+        "mix", {"spin": cases.uniform_spin(g)}, {"alpha_re": 0.0})),
+    ("alpha", lambda g, z: solitons.map_spin_coeffs(
+        "ishimori", z + 1, z, z, {"alpha_re": 0.0}, g)),
+    ("b", lambda g, z: solitons.amplitude_phase(
+        "mix", z + 1, z, z, z, z, {"b": 0.0}, g)),
+    ("a", lambda g, z: solitons.amplitude_phase(
+        "mix", z + 1, z, z, z, z, {"a": 0.0}, g)),
+    ("alpha", lambda g, z: solitons.lax_commutation_defect(
+        "zii", {"q": lambda x, y, t: 0 * x, "p": lambda x, y, t: 0 * x},
+        {"alpha_re": 0.0}, n_line=8, substeps=2)),
+], ids=["mix_coefficient_ops", "pde_residual", "map_spin_coeffs",
+        "amplitude_phase-b", "amplitude_phase-a", "lax_commutation_defect"])
+def test_zero_divisor_parameter_is_domain_error(name, call):
+    grid = _grid(6)
+    with pytest.raises(DomainError, match=f"^{name} .*must be nonzero"):
+        call(grid, np.zeros(grid.shape))
 
 
 def test_mix_amplitude_prefactors():

@@ -1,6 +1,6 @@
 """The repository's tools outside the package: the benchmark tracer's
-targets and the benchmark's calls must fit solgeo, and the
-refinement-study script must run."""
+targets and the benchmark's calls must fit solgeo, and the scripts must
+run."""
 
 import ast
 import importlib
@@ -72,14 +72,17 @@ def test_benchmark_calls_bind_to_solgeo_signatures():
             "solitons.lax_refinement_report"} <= bound
 
 
-def test_refinement_study_script_ratios():
+def run_script(name, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, os.path.join(ROOT, "scripts", "run_refinement_study.py"),
-         "--levels", "2"],
+    return subprocess.run(
+        [sys.executable, os.path.join(ROOT, "scripts", name), *args],
         env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_refinement_study_script_ratios():
+    proc = run_script("run_refinement_study.py", "--levels", "2")
     assert proc.returncode == 0, proc.stderr
     tables = [[]]
     for line in proc.stdout.splitlines():
@@ -94,3 +97,18 @@ def test_refinement_study_script_ratios():
     assert len(flat) == len(spectral) == len(lax) == 1
     assert all(3.5 <= r <= 4.5 for r in flat + spectral)
     assert lax[0] >= 8.0
+
+
+def test_export_surface_meshes_script(tmp_path):
+    proc = run_script("export_surface_meshes.py", "--n", "17",
+                      "--outdir", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    errors = {}
+    for line in proc.stdout.splitlines()[1:]:
+        name, shape_error, _, path = line.split()
+        errors[name] = float(shape_error)
+        assert os.path.isfile(path)
+    assert sorted(os.listdir(tmp_path)) == [
+        "cylinder.obj", "plane.obj", "sphere-patch.obj"]
+    assert errors["sphere-patch"] < 1e-3 and errors["cylinder"] < 1e-3
+    assert errors["plane"] == 0.0
