@@ -112,9 +112,10 @@ def default_grid_gauge(n: int = 16) -> sg.GridSpec:
 def pure_gauge_connection(grid: sg.GridSpec | None = None,
                           axes=("x", "y", "t"), perturb: float = 0.0) -> dict:
     """Flat connection A_mu = R_mu R^{-1} from the rotation field
-    R = Rz(phi) Rx(psi), with the derivatives taken in closed form so the
-    zero-curvature residual of the returned fields is pure discretization
-    error.  perturb > 0 adds a fixed non-gauge term to break flatness.
+    R = Rz(phi) Rx(psi), as so(3) AxialFields, with the derivatives taken
+    in closed form so the zero-curvature residual of the returned fields is
+    pure discretization error.  perturb > 0 adds a fixed non-gauge term to
+    break flatness.
     """
     key_by_axis = {"x": "A", "y": "B", "t": "C"}
     if not set(axes) <= set(key_by_axis):
@@ -141,24 +142,20 @@ def pure_gauge_connection(grid: sg.GridSpec | None = None,
     }
 
     # A_mu = phi_mu Jz + psi_mu (Rz Jx Rz^T) with Rz Jx Rz^T = cos(phi) Jx
-    # + sin(phi) Jy: six nonzero entries, written into a zeroed array that
-    # broadcasts the sparse-mesh factors to the grid
+    # + sin(phi) Jy: axial components (psi_mu cos phi, psi_mu sin phi,
+    # phi_mu), written into an array that broadcasts the sparse-mesh
+    # factors to the grid
     sin_phi, cos_phi = np.sin(phi), np.cos(phi)
     out = {}
     for ax in axes:
-        data = np.zeros(grid.shape + (3, 3))
-        data[..., 0, 1] = -dphi[ax]
-        data[..., 1, 0] = dphi[ax]
-        data[..., 0, 2] = dpsi[ax] * sin_phi
-        data[..., 2, 0] = -data[..., 0, 2]
-        data[..., 2, 1] = dpsi[ax] * cos_phi
-        data[..., 1, 2] = -data[..., 2, 1]
-        out[key_by_axis[ax]] = sg.MatrixField(grid, data)
+        data = np.empty(grid.shape + (3,))
+        data[..., 0] = dpsi[ax] * cos_phi
+        data[..., 1] = dpsi[ax] * sin_phi
+        data[..., 2] = dphi[ax]
+        out[key_by_axis[ax]] = sg.AxialField(grid, data)
     if perturb:
         # perturb * sin(x) cos(y) Jz added to B
-        pert = perturb * (np.sin(x) * np.cos(y))
-        out["B"].data[..., 0, 1] -= pert
-        out["B"].data[..., 1, 0] += pert
+        out["B"].data[..., 2] += perturb * (np.sin(x) * np.cos(y))
     return out
 
 

@@ -251,7 +251,7 @@ def cmd_case(args):
     elif name == "pure-gauge":
         conn = cases.pure_gauge_connection(cases.default_grid_gauge(args.n))
         for key, f in conn.items():
-            put(f"{name}-{key}.field", f)
+            put(f"{name}-{key}.field", sg.MatrixField(f.grid, liealg.hat(f.data)))
     elif name == "rational-lambda":
         f = cases.rational_lambda()
         put(f"{name}.field", sg.ScalarField(f.grid, f.lam))

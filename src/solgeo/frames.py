@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from solgeo import grid as sg
-from solgeo import liealg
+from solgeo import liealg, zerocurv
 from solgeo.errors import DomainError
 
 
@@ -81,10 +81,11 @@ def propagate_frenet(start: FrameTriad, coeffs, beta: int, h: float) -> FrameFie
     return FrameField(gspec, out, beta)
 
 
-def commutation_defect_2d(start: FrameTriad, A: sg.MatrixField,
-                          B: sg.MatrixField) -> float:
+def commutation_defect_2d(start: FrameTriad, A, B) -> float:
     """Max-norm difference between propagating the frame x-then-y and
-    y-then-x across the full grid; a computable zero-curvature proxy."""
+    y-then-x across the full grid; a computable zero-curvature proxy.
+    A and B are MatrixFields or so(3) AxialFields, whose boundary lines
+    are turned into matrices."""
     if A.grid != B.grid:
         raise DomainError("A and B must share a grid")
     g = A.grid
@@ -92,13 +93,16 @@ def commutation_defect_2d(start: FrameTriad, A: sg.MatrixField,
     hy = g.axis("y").h
     f0 = start.as_matrix()
 
-    def line(frame, mats, h):
+    def line(frame, field, idx, h):
+        mats = field.data[idx]
+        if isinstance(field, sg.AxialField):
+            mats = liealg.hat(mats)
         return liealg.transport(_midpoint(mats, h), frame)[-1]
 
     # x along y=0, then y along x=end
-    fxy = line(line(f0, A.data[:, 0], hx), B.data[-1, :], hy)
+    fxy = line(line(f0, A, np.s_[:, 0], hx), B, np.s_[-1, :], hy)
     # y along x=0, then x along y=end
-    fyx = line(line(f0, B.data[0, :], hy), A.data[:, -1], hx)
+    fyx = line(line(f0, B, np.s_[0, :], hy), A, np.s_[:, -1], hx)
     return float(np.abs(fxy - fyx).max())
 
 
@@ -220,13 +224,6 @@ def gwe_matrices(s: SurfaceData):
     return sg.MatrixField(s.grid, A), sg.MatrixField(s.grid, B)
 
 
-def gmce_residual(A: sg.MatrixField, B: sg.MatrixField) -> np.ndarray:
-    """A_y - B_x + [A, B] on the shared grid."""
-    Ay = sg.partial_data(A.data, A.grid, "y")
-    Bx = sg.partial_data(B.data, B.grid, "x")
-    return Ay - Bx + liealg.commutator(A.data, B.data)
-
-
 @dataclass(frozen=True)
 class ReconstructionResult:
     position: PositionField
@@ -279,7 +276,7 @@ def reconstruct_surface(s: SurfaceData) -> ReconstructionResult:
     ry_x = sg.partial_data(ry, g, "x")
     mixed = float(np.abs(rx_y - ry_x).max())
 
-    res = gmce_residual(A, B)
+    res = zerocurv.zc_residual("gmce", {"A": A, "B": B})["xy"]
     res_max = float(np.abs(res).max())
     hmin = min(hx, hy)
     flagged = res_max > 10.0 * hmin**2

@@ -3,7 +3,7 @@ x-antiderivative, field serialization and the refinement-study loop.
 
 Fields are immutable-by-convention wrappers around numpy arrays whose leading
 axes follow the GridSpec axis order; matrix-valued fields carry two trailing
-matrix axes.
+matrix axes, and so(3)-valued fields one trailing axis of axial components.
 """
 
 from __future__ import annotations
@@ -103,6 +103,18 @@ class MatrixField:
             )
 
 
+@dataclass(frozen=True)
+class AxialField:
+    """so(3)-valued field of axial vectors; its matrices are liealg.hat(data)."""
+    grid: GridSpec
+    data: np.ndarray  # grid.shape + (3,)
+
+    def __post_init__(self):
+        if self.data.shape != self.grid.shape + (3,):
+            raise DomainError(f"axial data shape {self.data.shape} != grid "
+                              f"shape {self.grid.shape} + (3,)")
+
+
 def diff_axis(data: np.ndarray, axis: int, h: float,
               periodic: bool) -> np.ndarray:
     """Second-order first derivative along one array axis; central in the
@@ -157,6 +169,8 @@ _MAGIC = "solgeo-field-v1"
 def save_field(path, field):
     """Binary field format: one JSON header line, then a raw little-endian
     float64 payload (re/im interleaved for complex data)."""
+    if isinstance(field, AxialField):
+        raise DomainError("save an axial field as MatrixField(liealg.hat)")
     data = np.ascontiguousarray(field.data)
     kind = "matrix" if isinstance(field, MatrixField) else "scalar"
     header = {
@@ -207,7 +221,7 @@ def load_field(path):
 
 def save_field_csv(path, field):
     """Plain CSV for 1D/2D scalar fields (2D: one row per x index)."""
-    if isinstance(field, MatrixField):
+    if not isinstance(field, ScalarField):
         raise DomainError("CSV mode covers scalar fields only")
     if len(field.grid.axes) > 2:
         raise DomainError("CSV mode covers 1D/2D fields only")

@@ -79,6 +79,18 @@ def skew_matrix(t: CoeffTriple, beta: int) -> np.ndarray:
     )
 
 
+def hat(v: np.ndarray) -> np.ndarray:
+    """Skew 3x3 matrices m of axial vectors v (..., 3), with
+    v = (m[2,1], m[0,2], m[1,0]); hat(a x b) = [hat(a), hat(b)]."""
+    v = np.asarray(v)
+    if v.shape[-1:] != (3,):
+        raise DomainError(f"axial vectors need a last axis of 3, got {v.shape}")
+    m = np.zeros(v.shape + (3,), dtype=v.dtype)
+    m[..., [2, 0, 1], [1, 2, 0]] = v
+    m[..., [1, 2, 0], [2, 0, 1]] = -v
+    return m
+
+
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix commutator [x, y] = xy - yx (batched over leading axes).
 

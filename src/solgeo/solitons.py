@@ -361,14 +361,8 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
         r = 1.0 if r2sign == 1 else 1.0j
         s1, s2, s3 = S[..., 0], S[..., 1], S[..., 2]
         s1y, s2y, s3y = d(s1, "y"), d(s2, "y"), d(s3, "y")
-        shape = s1.shape
-        A3 = np.zeros(shape + (3, 3), dtype=complex)
-        A3[..., 0, 1] = r * s1
-        A3[..., 0, 2] = -1j * r * s2
-        A3[..., 1, 0] = -r * s1
-        A3[..., 1, 2] = s3
-        A3[..., 2, 0] = 1j * r * s2
-        A3[..., 2, 1] = -s3
+        # A3 and A4 are skew, the hats of their (2,1), (0,2), (1,0) entries
+        A3 = liealg.hat(np.stack([-s3, -1j * r * s2, -r * s1], axis=-1))
         sp = s1 + 1j * s2
         sm = s1 - 1j * s2
         spy = s1y + 1j * s2y
@@ -376,13 +370,7 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
         a12 = -1j * r * (2j * s3 * s2y - 2j * s2 * s3y + 1j * u * s1)
         a13 = -r * (2 * s3 * s1y - 2 * s1 * s3y - u * s2)
         a23 = -(1j * r2sign * (sp * smy - sm * spy) - u * s3)
-        A4 = np.zeros(shape + (3, 3), dtype=complex)
-        A4[..., 0, 1] = a12
-        A4[..., 1, 0] = -a12
-        A4[..., 0, 2] = a13
-        A4[..., 2, 0] = -a13
-        A4[..., 1, 2] = a23
-        A4[..., 2, 1] = -a23
+        A4 = liealg.hat(np.stack([-a23, a13, -a12], axis=-1))
         return {"A3": A3, "A4": A4}
 
     if eq == "zii":
@@ -452,7 +440,7 @@ def _rk4(f, y, s, ds, nsteps):
         y = y + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         s = s + ds
         norm = np.abs(y).max()
-        if norm > 1e6:
+        if not norm <= 1e6:  # a NaN norm fails too
             raise NumericalError(
                 f"linear-problem evolution blew up at step {step} of "
                 f"{nsteps}: max |g| = {norm:.3e} > 1e6")
@@ -689,7 +677,11 @@ def amplitude_phase(eq: str, k, tau, m1, m2, m3, params: dict,
         cb = _nonzero(complex(params.get("b", -0.5)), "b")
         # l is never pinned down by the source; default non-authoritative
         l = params.get("l", ca.real)
-        ab = abs(ca) ** 2 / abs(cb) ** 2
+        with np.errstate(all="ignore"):
+            ab = np.float64(abs(ca)) ** 2 / np.float64(abs(cb)) ** 2
+        if not 0.0 < ab < np.inf:
+            raise DomainError(f"|a|^2/|b|^2 = {ab} for a = {ca}, b = {cb}: "
+                              "out of floating-point range")
         a1p2 = ((l + 1) ** 2 * k**2 + 0.25 * mod2 * (m3**2 + m2**2)
                 - (l + 1) * aR * k * m3 - (l + 1) * aI * k * m2)
         a2p2 = (l**2 * k**2 + 0.25 * mod2 * (m3**2 + m2**2)

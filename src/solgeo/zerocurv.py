@@ -18,35 +18,36 @@ def _check_conn(conn: dict, names) -> sg.GridSpec:
     missing = [n for n in names if n not in conn]
     if missing:
         raise DomainError(f"connection set missing fields {missing}")
-    grids = {conn[n].grid for n in names}
-    if len(grids) != 1:
-        raise DomainError("all connection fields must share one grid")
+    if len({(conn[n].grid, type(conn[n])) for n in names}) != 1:
+        raise DomainError("all connection fields must share one grid and "
+                          "one form: all matrix or all axial")
     return conn[names[0]].grid
 
 
 def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
     """One residual array per printed equation line of the named system.
 
-    Systems: gmce {A,B}; mlxii/uvw {A,B,C}; bogomolny {Phi,A,B,C};
+    Systems: gmce {A,B}; mlxii {A,B,C}; bogomolny {Phi,A,B,C};
     mlxx3d {B,D} (param b); sdym3d {A1..A4}; mlxii4d {A,B,C,D};
     mlxx4d {A,B,C,D}; mlxx4d_scalar {B,D} (params a, b); sdym4d {A1..A4}.
+    All fields are MatrixFields or, except for mlxx4d, all AxialFields,
+    bracketed by the cross product into axial residuals.
     """
     params = params or {}
     d = lambda name, ax: sg.partial_data(conn[name].data, conn[name].grid, ax)
-    c = lambda x, y: commutator(conn[x].data, conn[y].data)
+    c = lambda x, y: (np.cross if isinstance(conn[x], sg.AxialField)
+                      else commutator)(conn[x].data, conn[y].data)
 
     if system == "gmce":
         _check_conn(conn, ("A", "B"))
         return {"xy": d("A", "y") - d("B", "x") + c("A", "B")}
 
-    if system in ("mlxii", "uvw"):
-        names = ("A", "B", "C") if system == "mlxii" else ("U", "V", "W")
-        _check_conn(conn, names)
-        a, b, w = names
+    if system == "mlxii":
+        _check_conn(conn, ("A", "B", "C"))
         return {
-            "xy": d(a, "y") - d(b, "x") + c(a, b),
-            "xt": d(a, "t") - d(w, "x") + c(a, w),
-            "yt": d(b, "t") - d(w, "y") + c(b, w),
+            "xy": d("A", "y") - d("B", "x") + c("A", "B"),
+            "xt": d("A", "t") - d("C", "x") + c("A", "C"),
+            "yt": d("B", "t") - d("C", "y") + c("B", "C"),
         }
 
     if system == "bogomolny":
@@ -84,6 +85,8 @@ def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
 
     if system == "mlxx4d":
         _check_conn(conn, ("A", "B", "C", "D"))
+        if isinstance(conn["A"], sg.AxialField):
+            raise DomainError("mlxx4d multiplies matrices: pass MatrixFields")
         A = conn["A"].data
         C = conn["C"].data
         return {

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import solgeo
-from solgeo import cases, cli, frames, solitons
+from solgeo import cases, cli, frames, liealg, solitons
 from solgeo import grid as sg
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(solgeo.__file__)))
@@ -232,6 +232,19 @@ def test_case_export_roundtrip(tmp_path):
     x, y, t = f.grid.meshes()
     expect = 0.8 * np.exp(1j * (x + 2 * y - 4.0 * t))
     assert np.abs(f.data - expect).max() < 1e-12
+
+
+def test_case_pure_gauge_writes_matrix_fields(tmp_path):
+    # the builder's axial fields are written in matrix form, kind "matrix"
+    assert run(["case", "pure-gauge", "--n", "6", "--out", str(tmp_path)]) == 0
+    conn = cases.pure_gauge_connection(cases.default_grid_gauge(6))
+    assert sorted(conn) == ["A", "B", "C"]
+    for key, f in conn.items():
+        m = sg.load_field(tmp_path / f"pure-gauge-{key}.field")
+        assert isinstance(m, sg.MatrixField) and m.grid == f.grid
+        assert m.data.shape == (6, 6, 6, 3, 3)
+        assert np.array_equal(m.data, -np.swapaxes(m.data, -1, -2))
+        assert np.array_equal(m.data, liealg.hat(f.data))
 
 
 def test_case_surface_export(tmp_path):

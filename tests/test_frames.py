@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from solgeo import cases, frames, liealg
+from solgeo import cases, frames, liealg, zerocurv
 from solgeo import grid as sg
 from solgeo.errors import DomainError
 
@@ -114,6 +114,19 @@ def test_commutation_defect_curved_connection_stalls():
         defects.append(frames.commutation_defect_2d(start, conn["A"], conn["B"]))
     assert defects[-1] > 0.05
     assert abs(defects[-1] - defects[-2]) / defects[-1] < 0.01
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.2])
+def test_commutation_defect_axial_matches_matrix_fields(perturb):
+    # only the four transported boundary lines are turned into matrices
+    conn = cases.pure_gauge_connection(_gauge_grid_2d(17), axes=("x", "y"),
+                                       perturb=perturb)
+    mats = {k: sg.MatrixField(f.grid, liealg.hat(f.data))
+            for k, f in conn.items()}
+    start = frames.FrameTriad.standard()
+    got = frames.commutation_defect_2d(start, conn["A"], conn["B"])
+    assert got > 0
+    assert got == frames.commutation_defect_2d(start, mats["A"], mats["B"])
 
 
 def test_commutation_defect_grid_mismatch():
@@ -323,7 +336,7 @@ def test_reconstruct_flags_incompatible_forms():
 
 def test_gmce_residual_sphere_small():
     A, B = frames.gwe_matrices(cases.sphere_patch(33))
-    res = frames.gmce_residual(A, B)
+    res = zerocurv.zc_residual("gmce", {"A": A, "B": B})["xy"]
     # analytic forms: the residual is pure finite-difference error
     assert np.abs(res).max() < 5e-3
 

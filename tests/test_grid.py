@@ -35,6 +35,12 @@ def test_field_shape_validation():
         sg.ScalarField(g, np.zeros((8, 9)))
     with pytest.raises(DomainError):
         sg.MatrixField(g, np.zeros((8, 8, 3, 2)))
+    assert sg.AxialField(g, np.zeros((8, 8, 3))).data.shape == (8, 8, 3)
+    # an axial field is one so(3) triple per point, not a matrix or a
+    # vector of another length
+    for bad in ((8, 8), (8, 8, 2), (8, 8, 4), (8, 8, 3, 3), (8, 9, 3)):
+        with pytest.raises(DomainError):
+            sg.AxialField(g, np.zeros(bad))
 
 
 def test_partial_exact_on_cubic():
@@ -170,6 +176,18 @@ def test_save_load_roundtrip_matrix(tmp_path):
     assert isinstance(back, sg.MatrixField)
     assert back.grid == g
     assert np.array_equal(back.data, f.data)
+
+
+def test_axial_fields_are_saved_in_matrix_form_only(tmp_path):
+    # the binary format knows scalar and matrix fields; an axial field
+    # written as one would not load back
+    g = grid2d(5)
+    f = sg.AxialField(g, np.ones(g.shape + (3,)))
+    with pytest.raises(DomainError, match="MatrixField"):
+        sg.save_field(tmp_path / "a.field", f)
+    with pytest.raises(DomainError, match="scalar fields only"):
+        sg.save_field_csv(tmp_path / "a.csv", f)
+    assert not any(tmp_path.iterdir())
 
 
 def test_save_field_deterministic_bytes(tmp_path):

@@ -113,6 +113,28 @@ def test_commutator_keeps_matmul_off_the_complex_3x3_path():
         assert np.array_equal(liealg.commutator(x, y), x @ y - y @ x)
 
 
+def test_hat_pattern():
+    m = liealg.hat(np.array([1.0, 2.0, 3.0]))
+    assert np.array_equal(m, [[0.0, -3.0, 2.0], [3.0, 0.0, -1.0],
+                              [-2.0, 1.0, 0.0]])
+    # the axial convention expm's Rodrigues branch reads back
+    assert np.array_equal([m[2, 1], m[0, 2], m[1, 0]], [1.0, 2.0, 3.0])
+    with pytest.raises(DomainError):
+        liealg.hat(np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+def test_hat_of_cross_is_commutator(lead):
+    # [hat(a), hat(b)] = hat(a x b) entry for entry: the axial bracket of
+    # so(3) connections rounds exactly like the matrix commutator
+    rng = np.random.default_rng(len(lead))
+    a = rng.normal(size=lead + (3,))
+    b = rng.normal(size=lead + (3,))
+    assert liealg.hat(a).shape == lead + (3, 3)
+    assert np.array_equal(liealg.hat(np.cross(a, b)),
+                          liealg.commutator(liealg.hat(a), liealg.hat(b)))
+
+
 def test_commutator_shape_mismatch():
     with pytest.raises(DomainError):
         liealg.commutator(np.eye(3), np.eye(2))

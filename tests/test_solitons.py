@@ -467,6 +467,19 @@ def test_zii_commutation_defect_matches_stagewise_reference():
     assert abs(got - ref) <= 1e-10 * ref
 
 
+def test_nan_evolution_is_numerical_error():
+    # NaN compares false with the blow-up bound, so a NaN state ran on and
+    # the defect came back as nan
+    with pytest.raises(NumericalError,
+                       match=r"at step 0 of 2: max \|g\| = nan"):
+        solitons._rk4(lambda s, y: np.nan * y, np.ones(2), 0.0, 1.0, 2)
+    nan_q = {"q": lambda x, y, t: np.nan * (x + y + t),
+             "p": lambda x, y, t: 0.0 * x, "v": lambda x, y, t: 0.0 * x}
+    with pytest.raises(NumericalError, match=r"max \|g\| = nan"):
+        solitons.lax_commutation_defect("zi", nan_q, {"lam": 0.3},
+                                        n_line=8, substeps=2)
+
+
 def test_rk4_blow_up_names_step_and_norm():
     # an RK4 step of y' = 10 y with ds = 1 multiplies y by
     # g = 1 + 10 + 50 + 500/3 + 1250/3 = 644.33, so from y = 1 the norm
@@ -637,6 +650,18 @@ def test_zero_divisor_parameter_is_domain_error(name, call):
     grid = _grid(6)
     with pytest.raises(DomainError, match=f"^{name} .*must be nonzero"):
         call(grid, np.zeros(grid.shape))
+
+
+@pytest.mark.parametrize("params", [{"a": 1e-200}, {"a": 1e200},
+                                    {"b": 1e-200}, {"b": 1e200}])
+def test_amplitude_ratio_out_of_range_is_domain_error(params):
+    # |a|^2/|b|^2 underflowing to 0 or overflowing to inf was a bare
+    # ZeroDivisionError or OverflowError
+    grid = _grid(6)
+    z = np.zeros(grid.shape)
+    with pytest.raises(DomainError,
+                       match=r"\|a\|\^2/\|b\|\^2 = .* for a = .*, b = "):
+        solitons.amplitude_phase("mix", z + 1, z, z, z, z, params, grid)
 
 
 def test_mix_amplitude_prefactors():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from solgeo import cases, zerocurv
+from solgeo import cases, frames, liealg, zerocurv
 from solgeo import grid as sg
 from solgeo.errors import DomainError
 
@@ -26,7 +26,6 @@ def test_zero_connection_gives_zero_residual_everywhere():
     for system, names, gg, params in [
         ("gmce", ("A", "B"), g3, None),
         ("mlxii", ("A", "B", "C"), g3, None),
-        ("uvw", ("U", "V", "W"), g3, None),
         ("bogomolny", ("Phi", "A", "B", "C"), g3, None),
         ("mlxx3d", ("B", "D"), g4, {"b": 0.7}),
         ("sdym3d", ("A1", "A2", "A3", "A4"), g4, None),
@@ -38,12 +37,21 @@ def test_zero_connection_gives_zero_residual_everywhere():
         res = zerocurv.zc_residual(system, _zero_conn(gg, names), params)
         for key, arr in res.items():
             assert np.abs(arr).max() == 0, (system, key)
+        if system == "mlxx4d":
+            continue
+        axial = {n: sg.AxialField(gg, np.zeros(gg.shape + (3,)))
+                 for n in names}
+        for key, arr in zerocurv.zc_residual(system, axial, params).items():
+            assert arr.shape == gg.shape + (3,) and not arr.any(), (system, key)
 
 
 def test_unknown_system_and_missing_fields():
     g = _grid3(6)
     with pytest.raises(DomainError):
         zerocurv.zc_residual("nope", _zero_conn(g, ("A", "B")))
+    # the U, V, W spelling of mlxii is gone
+    with pytest.raises(DomainError, match="unknown system"):
+        zerocurv.zc_residual("uvw", _zero_conn(g, ("U", "V", "W")))
     with pytest.raises(DomainError):
         zerocurv.zc_residual("mlxii", _zero_conn(g, ("A", "B")))
     mixed = _zero_conn(g, ("A", "B"))
@@ -102,8 +110,54 @@ def test_pure_gauge_matches_rotation_product(names, perturb):
     ref = _pure_gauge_reference(grid, axes, perturb)
     assert set(conn) == set(ref)
     for key, f in conn.items():
-        assert f.grid == grid and f.data.shape == grid.shape + (3, 3)
-        assert np.array_equal(f.data, ref[key]), key
+        assert isinstance(f, sg.AxialField)
+        assert f.grid == grid and f.data.shape == grid.shape + (3,)
+        assert np.array_equal(liealg.hat(f.data), ref[key]), key
+
+
+@pytest.mark.parametrize("perturb", [0.0, 0.2])
+@pytest.mark.parametrize("system", ["gmce", "mlxii"])
+def test_axial_residual_hats_to_the_matrix_residual(system, perturb):
+    # the cross product and 3-component differences give the matrix
+    # residual of the hatted connection entry for entry
+    axes = ("x", "y") if system == "gmce" else ("x", "y", "t")
+    conn = cases.pure_gauge_connection(cases.default_grid_gauge(9),
+                                       axes=axes, perturb=perturb)
+    mats = {k: sg.MatrixField(f.grid, liealg.hat(f.data))
+            for k, f in conn.items()}
+    got = zerocurv.zc_residual(system, conn)
+    ref = zerocurv.zc_residual(system, mats)
+    assert set(got) == set(ref)
+    for key, r in got.items():
+        assert r.shape == conn["A"].grid.shape + (3,)
+        assert np.abs(r).max() > 0
+        assert np.array_equal(liealg.hat(r), ref[key]), key
+
+
+def test_axial_connections_reject_mixing_and_matrix_products():
+    g = _grid3(6)
+    conn = cases.pure_gauge_connection(g)
+    mixed = dict(conn, C=sg.MatrixField(g, liealg.hat(conn["C"].data)))
+    with pytest.raises(DomainError, match="all matrix or all axial"):
+        zerocurv.zc_residual("mlxii", mixed)
+    g4 = _grid4(6)
+    axial = {n: sg.AxialField(g4, np.ones(g4.shape + (3,))) for n in "ABCD"}
+    with pytest.raises(DomainError, match="mlxx4d multiplies matrices"):
+        zerocurv.zc_residual("mlxx4d", axial)
+
+
+def test_pure_gauge_paths_never_call_the_matrix_commutator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("matrix commutator on a pure-gauge path")
+
+    monkeypatch.setattr(zerocurv, "commutator", refuse)
+    monkeypatch.setattr(liealg, "commutator", refuse)
+    for system in ("mlxii", "gmce"):
+        assert 0 < cases.pure_gauge_defect(system, 17) < 2e-3
+    g2 = sg.GridSpec.make(sg.Axis("x", 9, 0.125), sg.Axis("y", 9, 0.125))
+    conn = cases.pure_gauge_connection(g2, axes=("x", "y"))
+    assert frames.commutation_defect_2d(frames.FrameTriad.standard(),
+                                        conn["A"], conn["B"]) > 0
 
 
 @pytest.mark.parametrize("axes, perturb, match", [
