@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import resource
 import sys
 import time
 
@@ -44,6 +45,11 @@ def _check_entry(name, norms, tol, extra=None):
     if extra:
         entry.update(extra)
     return entry
+
+
+def _minor_faults():
+    # page faults served without I/O, mostly fresh zeroed pages for arrays
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 
 
 def _write_report(path, config, checks, seed, timing):
@@ -403,6 +409,7 @@ def main(argv=None) -> int:
             return 2
 
     t0 = time.perf_counter()
+    faults0 = _minor_faults()
     try:
         if args.command == "check":
             checks = cmd_check(args)
@@ -418,7 +425,8 @@ def main(argv=None) -> int:
     except ConstraintError as exc:
         print(f"solgeo: {exc} (defect {exc.defect})", file=sys.stderr)
         return 1
-    timing = {"wall_s": time.perf_counter() - t0}
+    timing = {"wall_s": time.perf_counter() - t0,
+              "minor_faults": _minor_faults() - faults0}
     config = {k: v for k, v in vars(args).items()
               if k not in ("config", "report") and v is not None}
     try:

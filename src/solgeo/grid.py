@@ -9,6 +9,7 @@ matrix axes, and so(3)-valued fields one trailing axis of axial components.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -118,19 +119,30 @@ class AxialField:
 def diff_axis(data: np.ndarray, axis: int, h: float,
               periodic: bool) -> np.ndarray:
     """Second-order first derivative along one array axis; central in the
-    interior, one-sided on open boundaries, wrap-around when periodic."""
+    interior, one-sided on open boundaries, wrap-around when periodic.
+    Returns a C-contiguous array."""
     n = data.shape[axis]
     if n < 3:
         raise DomainError(f"need at least 3 points, got {n}")
-    f = np.moveaxis(data, axis, 0)
-    out = np.empty_like(f, dtype=np.result_type(f.dtype, float))
+    f = np.ascontiguousarray(data)
+    out = np.empty(f.shape, dtype=np.result_type(f.dtype, float))
+    # one pass over the flat buffers: entry k minus entry k - 2p, with p the
+    # stride of the axis in elements, is f[i+1] - f[i-1] along the axis
+    # except on its first and last slab, which the edge stencils overwrite
+    p = math.prod(f.shape[axis + 1:])
+    src, m = f.reshape(-1), f.size
+    flat = out.reshape(-1)[p:m - p]
+    np.subtract(src[2 * p:], src[:m - 2 * p], out=flat)
+    np.divide(flat, 2 * h, out=flat)
+    f = np.moveaxis(f, axis, 0)
+    edge = np.moveaxis(out, axis, 0)
     if periodic:
-        out[:] = (np.roll(f, -1, axis=0) - np.roll(f, 1, axis=0)) / (2 * h)
+        edge[0] = (f[1] - f[-1]) / (2 * h)
+        edge[-1] = (f[0] - f[-2]) / (2 * h)
     else:
-        out[1:-1] = (f[2:] - f[:-2]) / (2 * h)
-        out[0] = (-1.5 * f[0] + 2.0 * f[1] - 0.5 * f[2]) / h
-        out[-1] = -(-1.5 * f[-1] + 2.0 * f[-2] - 0.5 * f[-3]) / h
-    return np.moveaxis(out, 0, axis)
+        edge[0] = (-1.5 * f[0] + 2.0 * f[1] - 0.5 * f[2]) / h
+        edge[-1] = -(-1.5 * f[-1] + 2.0 * f[-2] - 0.5 * f[-3]) / h
+    return out
 
 
 def partial_data(data: np.ndarray, grid: GridSpec, axis_name: str) -> np.ndarray:

@@ -91,12 +91,28 @@ def hat(v: np.ndarray) -> np.ndarray:
     return m
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product a x b of axial vectors (..., 3), the so(3) bracket:
+    component by component (a1 b2 - a2 b1, ...) into one output, with the
+    operations and so the bits of np.cross but without its copies."""
+    a = np.asarray(a)
+    b = np.asarray(b)
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                   dtype=np.result_type(a, b))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.subtract(a[..., j] * b[..., k], a[..., k] * b[..., j],
+                    out=out[..., i])
+    return out
+
+
 def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix commutator [x, y] = xy - yx (batched over leading axes).
 
     Complex 3x3 stacks, where numpy's batched complex `@` is slow, are
-    summed entry by entry with the matrix axes moved in front; the result
-    differs from `x @ y - y @ x` by summation order only (within
+    summed entry by entry, with the matrix axes of the inputs moved in
+    front, into the (..., 3, 3) output; the result differs from
+    `x @ y - y @ x` by summation order only (within
     1e-15 * max|x| * max|y|) and stays exactly antisymmetric.  Real stacks
     and other sizes use `@`, which is the faster form there.
     """
@@ -109,14 +125,17 @@ def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x @ y - y @ x
     a = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)), dtype=dtype)
     b = np.ascontiguousarray(np.moveaxis(y, (-2, -1), (0, 1)), dtype=dtype)
-    out = np.empty((3, 3) + np.broadcast_shapes(a.shape[2:], b.shape[2:]),
-                   dtype=dtype)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=dtype)
     for i in range(3):
         for j in range(3):
-            out[i, j] = (
-                (a[i, 0] * b[0, j] + a[i, 1] * b[1, j] + a[i, 2] * b[2, j])
-                - (b[i, 0] * a[0, j] + b[i, 1] * a[1, j] + b[i, 2] * a[2, j]))
-    return np.ascontiguousarray(np.moveaxis(out, (0, 1), (-2, -1)))
+            xy = a[i, 0] * b[0, j]
+            xy += a[i, 1] * b[1, j]
+            xy += a[i, 2] * b[2, j]
+            yx = b[i, 0] * a[0, j]
+            yx += b[i, 1] * a[1, j]
+            yx += b[i, 2] * a[2, j]
+            np.subtract(xy, yx, out=out[..., i, j])
+    return out
 
 
 # [13/13] Pade approximant of exp: theta_13 and the numerator coefficients

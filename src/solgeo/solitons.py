@@ -156,10 +156,6 @@ def _m2_op(ops, f, alpha, a, b):
 
 # --- spin helpers (FD only) --------------------------------------------------
 
-def _cross(a, b):
-    return np.cross(a, b, axis=-1)
-
-
 def _dot(a, b):
     return np.sum(a * b, axis=-1)
 
@@ -267,9 +263,10 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
         Sx, Sy, St = d(S, "x"), d(S, "y"), d(S, "t")
         ux, uy = d(u, "x"), d(u, "y")
         a2 = alpha**2
-        r1 = (St - _cross(S, d(Sx, "x") + a2 * d(Sy, "y"))
+        r1 = (St - liealg.cross(S, d(Sx, "x") + a2 * d(Sy, "y"))
               - ux[..., None] * Sy - uy[..., None] * Sx)
-        r2 = d(ux, "x") - a2 * d(uy, "y") + 2 * a2 * _dot(S, _cross(Sx, Sy))
+        r2 = (d(ux, "x") - a2 * d(uy, "y")
+              + 2 * a2 * _dot(S, liealg.cross(Sx, Sy)))
         return {"S": r1, "u": r2}
 
     if eq == "mix":
@@ -281,17 +278,19 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
         Sx, Sy, St = d(S, "x"), d(S, "y"), d(S, "t")
         m1S = np.stack([_m1_op(ops, S[..., i], alpha, a, b)
                         for i in range(3)], axis=-1)
-        r1 = St - _cross(S, m1S) - A2[..., None] * Sx - A1[..., None] * Sy
+        r1 = (St - liealg.cross(S, m1S) - A2[..., None] * Sx
+              - A1[..., None] * Sy)
         r2 = (_m2_op(ops, u, alpha, a, b)
-              - 2 * alpha**2 * _dot(S, _cross(Sx, Sy)))
+              - 2 * alpha**2 * _dot(S, liealg.cross(Sx, Sy)))
         return {"S": r1, "u": r2}
 
     if eq in ("mviii", "mxxxiv"):
         S, w = fields["S"], fields["w"]
         Sy = d(S, "y")
-        r1 = d(S, "t") - _cross(S, d(Sy, "y")) - w[..., None] * Sy
+        r1 = d(S, "t") - liealg.cross(S, d(Sy, "y")) - w[..., None] * Sy
         if eq == "mviii":
-            r2 = d(w, "x") + d(w, "y") + _dot(S, _cross(d(S, "x"), Sy))
+            r2 = (d(w, "x") + d(w, "y")
+                  + _dot(S, liealg.cross(d(S, "x"), Sy)))
         else:
             r2 = d(w, "t") + d(w, "y") + 0.5 * d(_dot(Sy, Sy), "y")
         return {"S": r1, "w": r2}

@@ -5,13 +5,14 @@ parameter fields with their defining first-order equations."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from solgeo import grid as sg
 from solgeo.errors import DomainError
-from solgeo.liealg import commutator
+from solgeo.liealg import commutator, cross
 
 
 def _check_conn(conn: dict, names) -> sg.GridSpec:
@@ -35,7 +36,7 @@ def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
     """
     params = params or {}
     d = lambda name, ax: sg.partial_data(conn[name].data, conn[name].grid, ax)
-    c = lambda x, y: (np.cross if isinstance(conn[x], sg.AxialField)
+    c = lambda x, y: (cross if isinstance(conn[x], sg.AxialField)
                       else commutator)(conn[x].data, conn[y].data)
 
     if system == "gmce":
@@ -304,13 +305,24 @@ def lambda_field(kind: str, params: dict, g: sg.GridSpec) -> SpectralField:
 
 
 def _dilate_mask(mask: np.ndarray) -> np.ndarray:
+    """mask or-ed with its shifts by +-1 and +-2 along each axis.  Shifts
+    wrap around as np.roll does; the wrapped slab is conservative (extra
+    masking)."""
     out = mask.copy()
-    for ax in range(mask.ndim):
+    shifted = np.empty(mask.shape, dtype=bool)
+    flat, src = shifted.reshape(-1), mask.reshape(-1)
+    for ax, n in enumerate(mask.shape):
+        # a shift by s along ax is a flat shift by s * p, except on the s
+        # slabs each block of the axis wraps around, which are rewritten
+        p = math.prod(mask.shape[ax + 1:])
+        block, m = shifted.reshape(-1, n, p), mask.reshape(-1, n, p)
         for s in (1, 2):
-            for sign in (s, -s):
-                shifted = np.roll(mask, sign, axis=ax)
-                # roll wraps; the wrapped slab is conservative (extra masking)
-                out |= shifted
+            flat[s * p:] = src[:-s * p]
+            block[:, :s] = m[:, -s:]
+            out |= shifted
+            flat[:-s * p] = src[s * p:]
+            block[:, -s:] = m[:, :s]
+            out |= shifted
     return out
 
 

@@ -51,6 +51,8 @@ def test_check_planewave_passes(tmp_path):
     for c in rep["checks"]:
         assert c["max"] <= c["tol"]
     assert "wall_s" in rep["timing"]
+    assert isinstance(rep["timing"]["minor_faults"], int)
+    assert rep["timing"]["minor_faults"] >= 0
 
 
 def test_check_planewave_detuned_fails(tmp_path):
@@ -576,3 +578,45 @@ def test_non_skew_commands_run_without_scipy(argv):
     proc = fresh_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0 []"
+
+
+def _glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+@pytest.mark.skipif(not _glibc(), reason="allocator policy is glibc-only")
+def test_import_keeps_freed_arrays_in_the_heap():
+    # after import solgeo, freed multi-MB arrays are reused from the heap:
+    # 50 allocate/free rounds of 8 MiB fault in (almost) no fresh pages
+    code = ("import resource, solgeo\n"
+            "import numpy as np\n"
+            "np.ones(1 << 20)\n"
+            "f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "for _ in range(50):\n"
+            "    a = np.ones(1 << 20)\n"
+            "    del a\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)\n")
+    proc = fresh_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) <= 100
+
+
+@pytest.mark.parametrize("stub", [
+    "class Lib:\n    def __init__(self, name):\n        pass\n",
+    "class Lib:\n    def __init__(self, name):\n        pass\n"
+    "    mallopt = staticmethod(lambda *a: 0)\n",
+    "def Lib(name):\n    raise OSError(name)\n",
+], ids=["no-mallopt", "mallopt-refuses", "no-libc"])
+def test_import_survives_a_libc_without_mallopt(stub):
+    # a C library without mallopt, or one that refuses it, leaves the
+    # import working and the package usable
+    code = ("import ctypes\n" + stub +
+            "ctypes.CDLL = Lib\n"
+            "import solgeo, solgeo.cli\n"
+            "print(solgeo.__version__)\n")
+    proc = fresh_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == solgeo.__version__

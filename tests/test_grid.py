@@ -70,20 +70,31 @@ def test_partial_periodic_wraps():
 
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_periodic_diff_axis_matches_roll_form(dtype):
-    # the wrap-around stencil must equal the np.roll form bit for bit, on
-    # every axis of a matrix-valued stack
+    # bit for bit on every axis of a matrix-valued stack, its transpose, a
+    # strided slice (3 points on one axis) and 1-D lines of n = 9 and 3:
+    # the wrap-around stencil against the np.roll form, and on open axes
+    # the central interior and one-sided edges against their expressions
     rng = np.random.default_rng(4)
     data = rng.normal(size=(9, 8, 7, 5, 5))
     if dtype is complex:
         data = data + 1j * rng.normal(size=data.shape)
     h = 0.37
-    for f in (data, data[:, 0, 0, 0, 0]):
+    for f in (data, data.T, data[::2, 1:, ::3], data[:, 0, 0, 0, 0],
+              data[:3, 0, 0, 0, 0]):
         for axis in range(f.ndim):
             r = lambda s: np.roll(f, s, axis=axis)
             ref = (r(-1) - r(1)) / (2 * h)
             got = sg.diff_axis(f, axis, h, True)
             assert got.dtype == ref.dtype
-            assert np.array_equal(got, ref), (f.ndim, axis)
+            assert np.array_equal(got, ref), (f.shape, axis)
+            g = np.moveaxis(f, axis, 0)
+            ref = np.empty_like(g)
+            ref[1:-1] = (g[2:] - g[:-2]) / (2 * h)
+            ref[0] = (-1.5 * g[0] + 2.0 * g[1] - 0.5 * g[2]) / h
+            ref[-1] = -(-1.5 * g[-1] + 2.0 * g[-2] - 0.5 * g[-3]) / h
+            got = np.moveaxis(sg.diff_axis(f, axis, h, False), axis, 0)
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref), (f.shape, axis)
 
 
 def test_sparse_meshes_broadcast_to_dense():

@@ -105,6 +105,29 @@ def test_complex_commutator_matches_matmul(lead_x, lead_y, real):
     assert np.array_equal(got, -liealg.commutator(y, x))
 
 
+@pytest.mark.parametrize("lead_x,lead_y,real", [
+    ((4, 5, 6), (4, 5, 6), None),
+    ((1, 4), (3, 1), None),
+    ((2, 3), (2, 3), "y"),
+])
+def test_complex_commutator_matches_entrywise_sum(lead_x, lead_y, real):
+    # the complex 3x3 path keeps this sum order, so its bits are these
+    rng = np.random.default_rng(13)
+    x = _cstack(rng, lead_x, real=real == "x")
+    y = _cstack(rng, lead_y, real=real == "y")
+    ref = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
+    for i in range(3):
+        for j in range(3):
+            ref[..., i, j] = (
+                (x[..., i, 0] * y[..., 0, j] + x[..., i, 1] * y[..., 1, j]
+                 + x[..., i, 2] * y[..., 2, j])
+                - (y[..., i, 0] * x[..., 0, j] + y[..., i, 1] * x[..., 1, j]
+                   + y[..., i, 2] * x[..., 2, j]))
+    got = liealg.commutator(x, y)
+    assert got.flags.c_contiguous
+    assert np.array_equal(got, ref)
+
+
 def test_commutator_keeps_matmul_off_the_complex_3x3_path():
     rng = np.random.default_rng(12)
     for x, y in ((_cstack(rng, (4,), m=2), _cstack(rng, (4,), m=2)),
@@ -133,6 +156,26 @@ def test_hat_of_cross_is_commutator(lead):
     assert liealg.hat(a).shape == lead + (3, 3)
     assert np.array_equal(liealg.hat(np.cross(a, b)),
                           liealg.commutator(liealg.hat(a), liealg.hat(b)))
+
+
+@pytest.mark.parametrize("lead_a,lead_b,cplx", [
+    ((), (), False),
+    ((7,), (7,), False),
+    ((4, 5, 6), (4, 5, 6), False),
+    ((1, 4), (3, 1), False),
+    ((2, 3), (2, 3), True),
+])
+def test_cross_matches_np_cross(lead_a, lead_b, cplx):
+    # the component-by-component bracket gives np.cross's bits
+    rng = np.random.default_rng(len(lead_a) + len(lead_b))
+    a = rng.normal(size=lead_a + (3,))
+    b = rng.normal(size=lead_b + (3,))
+    if cplx:
+        b = b + 1j * rng.normal(size=b.shape)
+    got = liealg.cross(a, b)
+    ref = np.cross(a, b)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
 
 
 def test_commutator_shape_mismatch():

@@ -371,6 +371,24 @@ def test_lambda_pole_mask_and_errors():
     assert np.all(np.isfinite(f.lam))
 
 
+def test_dilate_mask_matches_roll_form():
+    # or of the mask shifted by +-1 and +-2 along every axis, wrapping as
+    # np.roll does: a seeded ~2 % mask with True cells on the wrap faces
+    rng = np.random.default_rng(21)
+    mask = rng.random((9, 8, 7, 6)) < 0.02
+    for idx in ((0, 3, 3, 3), (8, 3, 3, 3), (4, 0, 2, 5), (4, 7, 5, 1),
+                (2, 2, 0, 0), (6, 5, 6, 5)):
+        mask[idx] = True
+    ref = mask.copy()
+    for axis in range(mask.ndim):
+        for shift in (1, -1, 2, -2):
+            ref |= np.roll(mask, shift, axis=axis)
+    got = zerocurv._dilate_mask(mask)
+    assert not np.array_equal(ref, mask)
+    assert np.array_equal(got, ref)
+    assert np.array_equal(zerocurv._dilate_mask(np.asfortranarray(mask)), ref)
+
+
 def test_masked_norms_requires_points():
     with pytest.raises(DomainError):
         zerocurv.masked_norms(np.zeros((3, 3)), np.ones((3, 3), dtype=bool))
