@@ -273,8 +273,7 @@ def cmd_case(args):
 # --- frame subcommand ---------------------------------------------------------
 
 def cmd_frame(args):
-    coeffs = [liealg.CoeffTriple.x(args.k, args.tau, args.sigma)
-              for _ in range(args.n)]
+    coeffs = [liealg.CoeffTriple.x(args.k, args.tau, args.sigma)] * args.n
     field = frames.propagate_frenet(frames.FrameTriad.standard(args.beta),
                                     coeffs, args.beta, args.h)
     drift = field.gram_defect()

@@ -75,7 +75,7 @@ def propagate_frenet(start: FrameTriad, coeffs, beta: int, h: float) -> FrameFie
     coeffs = list(coeffs)
     if len(coeffs) < 2:
         raise DomainError("need at least two coefficient samples")
-    mats = np.stack([liealg.skew_matrix(c, beta) for c in coeffs])
+    mats = liealg.skew_matrix(coeffs, beta)
     out = liealg.transport(_midpoint(mats, h), start.as_matrix())
     gspec = sg.GridSpec.make(sg.Axis("x", len(coeffs), h))
     return FrameField(gspec, out, beta)

@@ -32,6 +32,30 @@ def test_skew_zero():
         liealg.skew_matrix(liealg.CoeffTriple.x(0, 0, 0), 1), np.zeros((3, 3)))
 
 
+@pytest.mark.parametrize("beta", [1, -1])
+def test_skew_matrix_stack_matches_per_triple(beta):
+    # one fill for a sequence of mixed roles keeps each role's (3,1) sign
+    rng = np.random.default_rng(14)
+    makers = (liealg.CoeffTriple.x, liealg.CoeffTriple.y, liealg.CoeffTriple.t)
+    triples = [makers[i % 3](*rng.normal(size=3)) for i in range(12)]
+    triples.append(liealg.CoeffTriple.x(0.0, -0.0, 0.0))
+    got = liealg.skew_matrix(triples, beta)
+    ref = np.stack([liealg.skew_matrix(t, beta) for t in triples])
+    assert got.shape == (13, 3, 3)
+    assert got.tobytes() == ref.tobytes()
+    for t, m in zip(triples, got):
+        s = 1.0 if t.role == liealg.ROLE_X else beta
+        assert np.array_equal(m, [[0.0, t.c1, -t.c3], [-beta * t.c1, 0.0, t.c2],
+                                  [s * t.c3, -t.c2, 0.0]])
+    assert liealg.skew_matrix([], beta).shape == (0, 3, 3)
+
+
+@pytest.mark.parametrize("beta", [0, 2, 1.5])
+def test_skew_matrix_stack_rejects_bad_beta(beta):
+    with pytest.raises(DomainError):
+        liealg.skew_matrix([liealg.CoeffTriple.x(1.0, 0.0, 0.0)] * 3, beta)
+
+
 def test_skew_nonfinite_rejected():
     with pytest.raises(DomainError):
         liealg.skew_matrix(liealg.CoeffTriple.x(np.inf, 0, 0), 1)
@@ -323,6 +347,33 @@ def test_transport_matches_stepwise_expm(lead):
         for i in range(nsteps):
             f = liealg.expm(gens[idx][i]) @ f
             assert np.abs(got[idx][i + 1] - f).max() <= 1e-14
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 10, 3000])
+def test_blocked_transport_matches_stepwise_chain(n):
+    # none of these step counts is a perfect square, so the last block is
+    # padded with identities
+    rng = np.random.default_rng(15)
+    if n <= 10:
+        gens = _mixed_generators(rng, n).reshape(n, 3, 3)
+    else:
+        a = rng.normal(size=(n, 3, 3))
+        gens = 0.05 * (a - np.swapaxes(a, -1, -2))
+    start = rng.normal(size=(3, 3))
+    got = liealg.transport(gens, start)
+    f = start
+    ref = [f]
+    for g in gens:
+        f = liealg.expm(g) @ f
+        ref.append(f)
+    ref = np.array(ref)
+    assert got.shape == ref.shape
+    assert np.array_equal(got[0], start)
+    # up to 10 mixed steps agree to 1e-14; over 3000 Rodrigues steps the
+    # blocked and the stepwise association each round once per product,
+    # measured 3e-15 * max|F| apart, and the bound leaves 30x of that
+    bound = 1e-14 if n <= 10 else 1e-13 * np.abs(ref).max()
+    assert np.abs(got - ref).max() <= bound
 
 
 def test_transport_broadcasts_one_start_over_lines():

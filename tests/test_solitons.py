@@ -315,6 +315,14 @@ def test_spectral_ops_exact_on_matrix_stack():
     assert np.abs(ops.d(stack(f), "y") - stack(fy)).max() <= 1e-12
     with pytest.raises(DomainError, match="periodic"):
         ops.d(f, "t")
+    with pytest.raises(DomainError, match="periodic"):
+        ops.wavenumbers("t", 3)
+    # the wavenumbers kept per instance give the bits of computing them
+    # afresh on every call
+    k = 2 * np.pi * np.fft.fftfreq(12, d=2 * np.pi / 12)
+    fresh = np.fft.ifft(1j * k.reshape(1, 12, 1, 1, 1)
+                        * np.fft.fft(stack(f), axis=1), axis=1)
+    assert np.array_equal(ops.d(stack(f), "x"), fresh)
     # off-node values, the Nyquist cosine included
     g = lambda x, y: np.exp(1j * (2 * x - 3 * y)) + np.cos(5 * (y - 0.3))
     at = np.array([0.0, 0.41, 2.9])
@@ -385,6 +393,86 @@ def test_zi_commutation_defect_discriminates():
     bad = solitons.lax_commutation_defect("zi", bad_pw["callables"],
                                           {"lam": 0.3}, n_line=32, substeps=8)
     assert bad / good >= 100.0
+
+
+def _zi_sequential_defect(fields, params, n_line, substeps):
+    """The zi commutation defect as four sweeps run one after another: x
+    from the identity then t, and t from the identity then x, each second
+    sweep starting from the first one's end state."""
+    lam = params.get("lam", 0.3)
+    span = dict(zip(("x", "t"), solitons.LAX_CELL))
+    line = solitons._periodic_line("y", n_line)
+    d_line = solitons.SpectralOps(sg.GridSpec.make(line)).d
+
+    def lax(axis, fixed):
+        grid = sg.GridSpec.make(
+            solitons._stage_axis(axis, span[axis], substeps), line)
+        return solitons.build_lax(
+            "zi", solitons._sample(fields, ("q", "p", "v"), grid, fixed),
+            grid=grid, ops=solitons.SpectralOps(grid))
+
+    def sweep_x(g, t):
+        m = lax("x", {"t": t})
+        gen = m["A1"] - lam * m["A3"]
+        return solitons._sweep(lambda j, gg: gen[j] @ gg, g, span["x"],
+                               substeps)
+
+    def sweep_t(g, x):
+        a2 = lax("t", {"x": x})["A2"]
+        return solitons._sweep(
+            lambda j, gg: lam * d_line(gg, "y") + a2[j] @ gg, g, span["t"],
+            substeps)
+
+    g0 = np.broadcast_to(np.eye(3, dtype=complex), (n_line, 3, 3))
+    ga = sweep_t(sweep_x(g0, 0.0), span["x"])
+    gb = sweep_x(sweep_t(g0, 0.0), span["t"])
+    return float(np.abs(ga - gb).max())
+
+
+def _two_waves():
+    """Two crossing waves with a y-dependent potential: not a zi
+    solution, so the two sweep orders disagree at O(1)."""
+    def q(x, y, t):
+        return (0.6 * np.exp(1j * (x + 2 * y - t))
+                + 0.3 * np.exp(1j * (2 * x - y + 3 * t)))
+
+    def p(x, y, t):
+        return np.conj(q(x, y, t))
+
+    def v(x, y, t):
+        return 0.5 * np.cos(y - t)
+    return {"q": q, "p": p, "v": v}
+
+
+@pytest.mark.parametrize("fields,n_line,substeps", [
+    ("planewave", 16, 4), ("planewave", 32, 8), ("two-waves", 16, 4),
+    ("two-waves", 32, 8)])
+def test_zi_batched_sweeps_match_sequential_reference(fields, n_line,
+                                                      substeps):
+    # the x-sweep maps its start linearly, so Phi1 @ T0 is the x-sweep of
+    # T0 up to rounding; the batched t-sweeps are the sequential ones
+    f = (cases.planewave("zi")["callables"] if fields == "planewave"
+         else _two_waves())
+    got = solitons.lax_commutation_defect("zi", f, {"lam": 0.3},
+                                          n_line=n_line, substeps=substeps)
+    ref = _zi_sequential_defect(f, {"lam": 0.3}, n_line, substeps)
+    if fields == "two-waves":
+        assert 0.1 < ref < 1.0
+    assert abs(got - ref) <= 1e-13
+
+
+def test_zi_nan_in_one_batched_member_is_numerical_error():
+    # NaN only at t > 0.15: of the two x-sweeps run together, only the one
+    # at t = 0.2 goes bad, at its first step, and the guard names it
+    def q(x, y, t):
+        return np.where(np.asarray(t) > 0.15, np.nan,
+                        0.3 * np.exp(1j * (x + 2 * y)))
+    f = {"q": q, "p": lambda x, y, t: np.conj(q(x, y, t)),
+         "v": lambda x, y, t: 0.0 * x}
+    with pytest.raises(NumericalError,
+                       match=r"at step 0 of 2: max \|g\| = nan"):
+        solitons.lax_commutation_defect("zi", f, {"lam": 0.3}, n_line=8,
+                                        substeps=2)
 
 
 def test_zii_commutation_defect_zero_field():
