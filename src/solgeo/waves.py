@@ -79,12 +79,15 @@ class Wave:
                      for k, a in self.terms.items()})
 
     def sample(self, grid) -> np.ndarray:
-        meshes = dict(zip(grid.names, grid.meshes(sparse=True)))
+        """Values on a grid.  Each term is a product of 1-D factors
+        exp(i c_a x_a) on the sparse axis coordinates, which costs one
+        full-grid product per term instead of a full-grid exp; the
+        conjugate of a wave samples to the exact conjugate."""
+        coords = dict(zip(grid.names, grid.meshes(sparse=True)))
         out = np.zeros(grid.shape, dtype=complex)
         for k, a in self.terms.items():
-            # phase broadcasts over the axes the wavevector spans only
-            phase = 0.0
+            term = a
             for ax, c in k:
-                phase = phase + c * meshes[ax]
-            out += a * np.exp(1j * phase)
+                term = term * np.exp(1j * (c * coords[ax]))
+            out += term
         return out

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -265,6 +267,75 @@ def test_expm_unscaled_matches_scipy_and_series(norm):
             assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _mp_expm(a):
+    """exp(a) to 40 digits, rounded to float."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(),
+                        dtype=float)
+
+
+@pytest.mark.parametrize("m", [3, 5, 7, 9, 13])
+@pytest.mark.parametrize("side", [1.0 - 1e-9, 1.0 + 1e-9])
+def test_expm_pade_degree_band_edges(m, side):
+    # just below theta_m the kernel takes degree m; just above, the next
+    # degree (13 with one squaring above theta_13).  The 40-digit reference
+    # checks every matrix; scipy's expm is also the reference below
+    # theta_13, but near it scipy is off by up to 5e-13 relative on a third
+    # of random matrices, where this kernel stays within 1.2e-15 of mpmath
+    from scipy.linalg import expm as scipy_expm
+
+    degrees = list(liealg._PADE)
+    theta = liealg._PADE[m][0]
+    deg = m if side < 1.0 or m == 13 else degrees[degrees.index(m) + 1]
+    rng = np.random.default_rng(16)
+    for _ in range(3):
+        a = _with_norm(rng.normal(size=(3, 3)), side * theta)
+        out = liealg.expm(a)
+        norm = np.abs(a).sum(axis=0).max()
+        assert np.array_equal(out, liealg._pade(a[None], norm[None], deg)[0])
+        refs = [_mp_expm(a)] + ([scipy_expm(a)] if m < 13 else [])
+        for ref in refs:
+            assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_solve3_matches_linalg_solve():
+    rng = np.random.default_rng(17)
+    p = rng.normal(size=(200, 3, 3)) + 4.0 * np.eye(3)
+    q = rng.normal(size=(200, 3, 3))
+    assert np.linalg.cond(p).max() < 50.0
+    ref = np.linalg.solve(p, q)
+    err = np.abs(liealg._solve3(p, q) - ref).max(axis=(-2, -1))
+    assert np.all(err <= 1e-14 * np.abs(ref).max(axis=(-2, -1)))
+
+
+@pytest.mark.parametrize("gens", [
+    [[0, 1j, 0], [0, 0, 0], [0, 0, 0]],
+    np.zeros((3, 2)),
+    np.zeros(3),
+])
+def test_expm_rejects_complex_and_non_3x3(gens):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            liealg.expm(gens)
+
+
+@pytest.mark.parametrize("gens, start", [
+    (np.zeros((4, 3, 3)), np.eye(3)[:, :2]),
+    (np.zeros((2, 4, 3, 3)), np.zeros((3, 3, 3))),
+    (np.zeros((4, 3, 3)), 1j * np.eye(3)),
+    (np.zeros((4, 3, 3), dtype=complex), np.eye(3)),
+    (np.zeros((3, 3)), np.eye(3)),
+])
+def test_transport_rejects_bad_start_and_generators(gens, start):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            liealg.transport(gens, start)
+
+
 @pytest.mark.parametrize("norm", [5.0, 10.0, 20.0, 50.0])
 def test_expm_scaling_and_squaring(norm):
     rng = np.random.default_rng(7)
@@ -298,6 +369,9 @@ def test_expm_batch_matches_single_matrix_calls():
         0.02 * liealg.skew_matrix(liealg.CoeffTriple.x(0.8, 0.3, 0.0), -1),
         _with_norm(rng.normal(size=(3, 3)), 7.0),
         np.diag([3.0, -2.0, 0.5]),
+        # one matrix in each Pade degree band, 3 to 13
+        *[_with_norm(rng.normal(size=(3, 3)), x)
+          for x in (0.01, 0.2, 0.9, 2.0, 5.0)],
     ])
     got = liealg.expm(stack)
     assert np.array_equal(got, [liealg.expm(m) for m in stack])

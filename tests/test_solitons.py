@@ -28,6 +28,29 @@ def test_planewave_analytic_residual(eq):
         assert np.abs(arr).max() <= ANALYTIC_TOL, (eq, key)
 
 
+@pytest.mark.parametrize("eq", ["ds", "zi", "strachan"])
+def test_planewave_conjugate_samples_bit_exact(eq):
+    # sin is odd and a conjugate of products is the product of conjugates
+    pw = cases.planewave(eq)
+    grid = _grid(8)
+    assert np.array_equal(pw["p"].sample(grid), np.conj(pw["q"].sample(grid)))
+
+
+def test_wave_sample_matches_direct_phase():
+    from solgeo.waves import Wave
+
+    wave = (Wave.exp(0.7 - 0.2j, x=1.3, y=-0.4, t=2.7)
+            + Wave.exp(-1.1j, y=2.25) + Wave.exp(0.4, x=-3.5, t=0.6)
+            + Wave.const(0.3 + 0.5j))
+    grid = _grid(12)
+    x, y, t = grid.meshes()
+    coords = {"x": x, "y": y, "t": t}
+    direct = sum(a * np.exp(1j * sum(c * coords[ax] for ax, c in k))
+                 for k, a in wave.terms.items())
+    scale = sum(abs(a) for a in wave.terms.values())
+    assert np.abs(wave.sample(grid) - direct).max() <= 1e-13 * scale
+
+
 def test_planewave_dispersion_values():
     assert cases.planewave("ds")["params"]["omega"] == 4.0
     assert cases.planewave("zi")["params"]["omega"] == -1.0
