@@ -265,23 +265,45 @@ def _coord(g: sg.GridSpec, name: str):
     return 0.0
 
 
+def _lambda_params(params: dict, names, optional=()) -> list:
+    """The named parameters as given, optional ones defaulting to 0.0; a
+    missing or non-finite one is a DomainError naming it."""
+    out = []
+    for k in names:
+        if k not in params and k not in optional:
+            raise DomainError(f"lambda parameter {k!r} is missing")
+        v = params.get(k, 0.0)
+        try:
+            finite = bool(np.isfinite(v))
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise DomainError(f"lambda parameter {k!r} must be finite, "
+                              f"got {v!r}")
+        out.append(v)
+    return out
+
+
 def lambda_field(kind: str, params: dict, g: sg.GridSpec) -> SpectralField:
     """Rational spectral-parameter solutions.
 
-    sdym_xi: lam = (n1*xi3 + n3 + m1*xi4) / (n4 - n1*xi1 - m1*xi2).
+    sdym_xi: lam = (n1*xi3 + n3 + m1*xi4) / (n4 - n1*xi1 - m1*xi2), m1
+    optional (default 0).
     mlxii_complex: lam = (a1*x_abar + a2*x_bbar + a3)/(a2*x_a - a1*x_b + a4)
     on an (x, y, t, xi1) grid where xi1 plays the z coordinate.
+
+    The pole mask and the safe denominator are taken on the sparse
+    numerator and denominator; only the quotient is grid-sized.
     """
     hmax = max(a.h for a in g.axes)
     if kind == "sdym_xi":
-        n1, n3, n4 = params["n1"], params["n3"], params["n4"]
-        m1 = params.get("m1", 0.0)
+        n1, n3, n4, m1 = _lambda_params(params, ("n1", "n3", "n4", "m1"),
+                                        optional=("m1",))
         num = n1 * _coord(g, "xi3") + n3 + m1 * _coord(g, "xi4")
         den = n4 - n1 * _coord(g, "xi1") - m1 * _coord(g, "xi2")
-        num, den = np.broadcast_to(num, g.shape), np.broadcast_to(den, g.shape)
         grad_bound = abs(n1) + abs(m1)
     elif kind == "mlxii_complex":
-        a1, a2, a3, a4 = (params[k] for k in ("a1", "a2", "a3", "a4"))
+        a1, a2, a3, a4 = _lambda_params(params, ("a1", "a2", "a3", "a4"))
         z = _coord(g, "xi1")
         t = _coord(g, "t")
         x = _coord(g, "x")
@@ -292,23 +314,29 @@ def lambda_field(kind: str, params: dict, g: sg.GridSpec) -> SpectralField:
         x_bbar = 0.5 * (x - 1j * y)
         num = a1 * x_abar + a2 * x_bbar + a3
         den = a2 * x_a - a1 * x_b + a4
-        num, den = np.broadcast_to(num, g.shape), np.broadcast_to(den, g.shape)
         grad_bound = abs(a1) + abs(a2)
     else:
         raise DomainError(f"unknown lambda kind {kind!r}")
 
-    mask = np.abs(den) <= 2.0 * hmax * max(grad_bound, 1e-300)
-    if mask.all():
+    pole = np.abs(den) <= 2.0 * hmax * max(grad_bound, 1e-300)
+    if pole.all():
         raise DomainError("entire grid lies inside the pole mask")
-    lam = np.where(mask, 0.0, num / np.where(mask, 1.0, den))
+    den = np.where(pole, 1.0, den)
+    lam = np.empty(g.shape, dtype=np.result_type(num, den))
+    np.divide(num, den, out=lam)
+    mask = np.broadcast_to(pole, g.shape).copy()
+    if pole.any():
+        np.copyto(lam, 0.0, where=pole)
     return SpectralField(g, kind, dict(params), lam, mask)
 
 
 def _dilate_mask(mask: np.ndarray) -> np.ndarray:
     """mask or-ed with its shifts by +-1 and +-2 along each axis.  Shifts
     wrap around as np.roll does; the wrapped slab is conservative (extra
-    masking)."""
+    masking).  A mask without True cells comes back as a copy."""
     out = mask.copy()
+    if not out.any():
+        return out
     shifted = np.empty(mask.shape, dtype=bool)
     flat, src = shifted.reshape(-1), mask.reshape(-1)
     for ax, n in enumerate(mask.shape):
@@ -338,15 +366,18 @@ def lambda_residual(f: SpectralField) -> dict:
         return np.zeros_like(f.lam)
 
     if f.kind == "sdym_xi":
-        r1 = d("xi1") - f.lam * d("xi3")
-        r2 = d("xi2") - f.lam * d("xi4")
+        r1 = d("xi1")
+        r1 -= f.lam * d("xi3")
+        r2 = d("xi2")
+        r2 -= f.lam * d("xi4")
         res = {"xi13": r1, "xi24": r2}
     else:
-        d_a = d("xi1") - 1j * d("t")
-        d_abar = d("xi1") + 1j * d("t")
-        d_b = d("x") - 1j * d("y")
-        d_bbar = d("x") + 1j * d("y")
-        res = {"beta": d_b - f.lam * d_abar, "alpha": d_a + f.lam * d_bbar}
+        dz, dt, dx, dy = (d(k) for k in ("xi1", "t", "x", "y"))
+        beta = dx - 1j * dy
+        beta -= f.lam * (dz + 1j * dt)
+        alpha = dz - 1j * dt
+        alpha += f.lam * (dx + 1j * dy)
+        res = {"beta": beta, "alpha": alpha}
 
     mask = _dilate_mask(f.mask)
     res["mask"] = mask
@@ -354,10 +385,11 @@ def lambda_residual(f: SpectralField) -> dict:
 
 
 def masked_norms(res: np.ndarray, mask: np.ndarray) -> dict:
-    keep = ~mask
-    if not keep.any():
+    """Max and root-mean-square of |res| off the mask, and the masked
+    share; a mask without True cells skips the gather."""
+    vals = np.abs(res[~mask] if mask.any() else res.reshape(-1))
+    if not vals.size:
         raise DomainError("no unmasked points to evaluate")
-    vals = np.abs(res[keep])
     out = {"max": float(vals.max()), "l2": float(np.sqrt(np.mean(vals**2))),
            "mask_coverage": float(mask.mean())}
     return out

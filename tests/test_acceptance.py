@@ -327,14 +327,21 @@ def test_criterion_12_determinism(tmp_path):
         assert cli.main(["surface", "--case", "sphere-patch", "--n", "17",
                          "--out", str(d / "sphere.obj"),
                          "--report", str(d / "surface.json")]) == 0
+        # the blocked-bracket and sparse-lambda paths
+        assert cli.main(["check", "--kind", "lambda", "--n", "8",
+                         "--refine", "2",
+                         "--report", str(d / "lambda.json")]) == 0
+        assert cli.main(["check", "--system", "mlxii", "--case",
+                         "pure-gauge", "--refine", "2",
+                         "--report", str(d / "gauge.json")]) == 0
         return d
 
     d1, d2 = run_all("one"), run_all("two")
     ok = True
     for name in sorted(p.name for p in d1.iterdir()):
         a, b = d1 / name, d2 / name
-        if name.endswith(".json") and name in ("check.json", "case.json",
-                                               "surface.json"):
+        if name in ("check.json", "case.json", "surface.json",
+                    "lambda.json", "gauge.json"):
             ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
             ra.pop("timing"), rb.pop("timing")
             # output paths inside the reports differ only by the run dir

@@ -209,6 +209,116 @@ def test_commutator_shape_mismatch():
         liealg.commutator(np.eye(3), np.eye(2))
 
 
+# unblocked forms of the bracket kernels, whose bits the blocked ones keep
+
+def _cross_unblocked(a, b):
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape),
+                   dtype=np.result_type(a, b))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        np.subtract(a[..., j] * b[..., k], a[..., k] * b[..., j],
+                    out=out[..., i])
+    return out
+
+
+def _commutator_unblocked(x, y):
+    dtype = np.result_type(x, y)
+    if dtype.kind != "c":
+        return x @ y - y @ x
+    a = np.ascontiguousarray(np.moveaxis(x, (-2, -1), (0, 1)), dtype=dtype)
+    b = np.ascontiguousarray(np.moveaxis(y, (-2, -1), (0, 1)), dtype=dtype)
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape), dtype=dtype)
+    for i in range(3):
+        for j in range(3):
+            xy = a[i, 0] * b[0, j]
+            xy += a[i, 1] * b[1, j]
+            xy += a[i, 2] * b[2, j]
+            yx = b[i, 0] * a[0, j]
+            yx += b[i, 1] * a[1, j]
+            yx += b[i, 2] * a[2, j]
+            np.subtract(xy, yx, out=out[..., i, j])
+    return out
+
+
+_B = liealg._BLOCK
+# (leading shape of x, of y, blocks of the broadcast stack); rows of 64
+# points put _B // 64 rows in a block
+_BLOCK_CASES = [
+    ((), (), 1),                      # one point, no leading axis
+    ((1,), (1,), 1),                  # one point
+    ((_B,), (_B,), 1),                # exactly one block
+    ((_B + 1,), (_B + 1,), 2),        # one block + 1
+    ((3 * _B + 17,), (3 * _B + 17,), 4),  # several blocks, ragged tail
+    ((2 * _B // 64 + 5, 64), (2 * _B // 64 + 5, 64), 3),  # rows, ragged
+    ((3, _B + 5), (3, _B + 5), 3),    # rows longer than a block
+    ((_B // 32, 1), (1, 64), 2),      # broadcast leading shapes
+    ((64,), (_B // 64 + 3, 64), 2),   # broadcast over a missing axis
+    ((0,), (0,), 0),                  # empty stacks
+    ((0, 5), (1, 5), 0),
+    ((5, 0), (5, 0), 1),
+]
+
+
+@pytest.mark.parametrize("lead_x,lead_y,nblocks", _BLOCK_CASES)
+@pytest.mark.parametrize("cplx", [False, True])
+def test_blocked_commutator_matches_unblocked(lead_x, lead_y, nblocks, cplx):
+    rng = np.random.default_rng(31)
+    x = _cstack(rng, lead_x, real=not cplx)
+    y = _cstack(rng, lead_y, real=not cplx)
+    lead = np.broadcast_shapes(lead_x, lead_y)
+    assert len(liealg._blocks(lead)) == nblocks
+    got = liealg.commutator(x, y)
+    ref = _commutator_unblocked(x, y)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+    if cplx:
+        assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("lead_a,lead_b,nblocks", _BLOCK_CASES)
+@pytest.mark.parametrize("cplx", [False, True])
+def test_blocked_cross_matches_unblocked(lead_a, lead_b, nblocks, cplx):
+    rng = np.random.default_rng(32)
+    a = rng.normal(size=lead_a + (3,))
+    b = rng.normal(size=lead_b + (3,))
+    if cplx:
+        a = a + 1j * rng.normal(size=a.shape)
+    assert len(liealg._blocks(np.broadcast_shapes(lead_a, lead_b))) \
+        == nblocks
+    got = liealg.cross(a, b)
+    ref = _cross_unblocked(a, b)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+    # the so(3) bracket of the strided rows _solve3 passes
+    p = rng.normal(size=lead_a + (3, 3))
+    assert np.array_equal(liealg.cross(p[..., 1, :], p[..., 2, :]),
+                          _cross_unblocked(p[..., 1, :], p[..., 2, :]))
+
+
+@pytest.mark.parametrize("a,b", [
+    (np.ones((2, 4)), 2 * np.ones((2, 4))),   # last axes of 4
+    (np.ones((2, 2)), np.ones((2, 2))),
+    (np.ones((2, 3)), np.ones((2, 4))),
+    (np.ones(3), np.float64(1.0)),            # a scalar
+    (np.ones((2, 3)), np.ones((4, 3))),       # leading shapes that clash
+])
+def test_cross_rejects_non_axial_input(a, b):
+    with pytest.raises(DomainError):
+        liealg.cross(a, b)
+
+
+@pytest.mark.parametrize("x,y", [
+    (np.ones(3), np.ones(3)),                 # vectors, not matrices
+    (np.ones((2, 3)), np.ones((2, 3))),       # non-square
+    (np.ones((2, 3, 3)), np.ones((4, 3, 3))),  # leading shapes that clash
+    (np.ones((2, 3, 3)) * 1j, np.ones((4, 3, 3))),
+    (np.float64(1.0), np.float64(1.0)),
+])
+def test_commutator_rejects_non_square_or_clashing_stacks(x, y):
+    with pytest.raises(DomainError):
+        liealg.commutator(x, y)
+
+
 def test_expm_zero_and_rotation():
     assert np.array_equal(liealg.expm(np.zeros((3, 3))), np.eye(3))
     th = 0.7

@@ -347,13 +347,16 @@ def test_lambda_rational_residual_converges(params):
     assert maxima[1] / maxima[2] == pytest.approx(4.0, rel=0.5)
 
 
-def test_lambda_complex_coordinate_kind():
-    n = 10
+def _xyt_xi1_grid(n=12):
     h = 0.3 / (n - 1)
-    g = sg.GridSpec.make(sg.Axis("x", n, h), sg.Axis("y", n, h),
-                         sg.Axis("t", n, h), sg.Axis("xi1", n, h))
+    return sg.GridSpec.make(sg.Axis("x", n, h), sg.Axis("y", n, h),
+                            sg.Axis("t", n, h), sg.Axis("xi1", n, h))
+
+
+def test_lambda_complex_coordinate_kind():
     f = zerocurv.lambda_field(
-        "mlxii_complex", {"a1": 0.5, "a2": 0.2, "a3": 0.1, "a4": 1.0}, g)
+        "mlxii_complex", {"a1": 0.5, "a2": 0.2, "a3": 0.1, "a4": 1.0},
+        _xyt_xi1_grid(10))
     res = zerocurv.lambda_residual(f)
     for key in ("alpha", "beta"):
         assert zerocurv.masked_norms(res[key], res["mask"])["max"] < 5e-3
@@ -371,6 +374,14 @@ def test_lambda_pole_mask_and_errors():
     assert np.all(np.isfinite(f.lam))
 
 
+def _roll_dilate(mask):
+    out = mask.copy()
+    for axis in range(mask.ndim):
+        for shift in (1, -1, 2, -2):
+            out |= np.roll(mask, shift, axis=axis)
+    return out
+
+
 def test_dilate_mask_matches_roll_form():
     # or of the mask shifted by +-1 and +-2 along every axis, wrapping as
     # np.roll does: a seeded ~2 % mask with True cells on the wrap faces
@@ -379,14 +390,86 @@ def test_dilate_mask_matches_roll_form():
     for idx in ((0, 3, 3, 3), (8, 3, 3, 3), (4, 0, 2, 5), (4, 7, 5, 1),
                 (2, 2, 0, 0), (6, 5, 6, 5)):
         mask[idx] = True
-    ref = mask.copy()
-    for axis in range(mask.ndim):
-        for shift in (1, -1, 2, -2):
-            ref |= np.roll(mask, shift, axis=axis)
+    ref = _roll_dilate(mask)
     got = zerocurv._dilate_mask(mask)
     assert not np.array_equal(ref, mask)
     assert np.array_equal(got, ref)
     assert np.array_equal(zerocurv._dilate_mask(np.asfortranarray(mask)), ref)
+    # the no-True shortcut, the all-True fixed point and one True cell
+    for fill in (False, True):
+        full = np.full(mask.shape, fill)
+        got = zerocurv._dilate_mask(full)
+        assert np.array_equal(got, full) and got is not full
+    one = np.zeros(mask.shape, dtype=bool)
+    one[0, 7, 3, 5] = True
+    got = zerocurv._dilate_mask(one)
+    assert got.sum() == 1 + 4 * 4 and np.array_equal(got, _roll_dilate(one))
+
+
+def _gather_norms(res, mask):
+    vals = np.abs(res[~mask])
+    return {"max": float(vals.max()), "l2": float(np.sqrt(np.mean(vals**2))),
+            "mask_coverage": float(mask.mean())}
+
+
+@pytest.mark.parametrize("kind,params,grid,partial", [
+    # pole planes and an oblique pole locus crossing the xi box
+    ("sdym_xi", {"n1": 1.0, "n3": 0.5, "m1": 0.0, "n4": 0.2},
+     cases.default_grid_xi(16), True),
+    ("sdym_xi", {"n1": 1.0, "n3": 0.5, "m1": 0.4, "n4": 0.3},
+     cases.default_grid_xi(16), True),
+    ("mlxii_complex", {"a1": 0.5, "a2": 0.2, "a3": 0.1, "a4": 0.05},
+     _xyt_xi1_grid(), True),
+    # no pole in the box
+    ("sdym_xi", cases.LAMBDA_PARAMS[1], cases.default_grid_xi(8), False),
+])
+def test_lambda_partial_mask_matches_dense_reference(kind, params, grid,
+                                                     partial):
+    # the dense form: mask and quotient on grid-sized broadcasts, the
+    # dilation by np.roll and the norms by boolean gather
+    hmax = max(a.h for a in grid.axes)
+    c = {k: zerocurv._coord(grid, k) for k in grid.names}
+    if kind == "sdym_xi":
+        n1, n3, m1, n4 = (params[k] for k in ("n1", "n3", "m1", "n4"))
+        num = n1 * c["xi3"] + n3 + m1 * c["xi4"]
+        den = n4 - n1 * c["xi1"] - m1 * c["xi2"]
+        bound = abs(n1) + abs(m1)
+    else:
+        a1, a2, a3, a4 = (params[k] for k in ("a1", "a2", "a3", "a4"))
+        num = (a1 * (0.5 * (c["xi1"] - 1j * c["t"]))
+               + a2 * (0.5 * (c["x"] - 1j * c["y"])) + a3)
+        den = (a2 * (0.5 * (c["xi1"] + 1j * c["t"]))
+               - a1 * (0.5 * (c["x"] + 1j * c["y"])) + a4)
+        bound = abs(a1) + abs(a2)
+    num = np.broadcast_to(num, grid.shape)
+    den = np.broadcast_to(den, grid.shape)
+    mask = np.abs(den) <= 2.0 * hmax * bound
+    lam = np.where(mask, 0.0, num / np.where(mask, 1.0, den))
+
+    f = zerocurv.lambda_field(kind, params, grid)
+    assert f.lam.dtype == lam.dtype and f.lam.flags.c_contiguous
+    assert np.array_equal(f.lam, lam) and np.array_equal(f.mask, mask)
+    res = zerocurv.lambda_residual(f)
+    dilated = res.pop("mask")
+    assert np.array_equal(dilated, _roll_dilate(mask))
+    assert not dilated.all()
+    assert (0 < mask.sum() < mask.size) if partial else not mask.any()
+    for r in res.values():
+        assert zerocurv.masked_norms(r, dilated) == _gather_norms(r, dilated)
+
+
+@pytest.mark.parametrize("kind,params,name", [
+    ("sdym_xi", {"n1": 1.0, "n3": 0.0, "n4": np.nan}, "n4"),
+    ("sdym_xi", {"n1": 1.0, "n3": 0.0}, "n4"),
+    ("sdym_xi", {"n1": 1.0, "n3": 0.0, "n4": 1.0, "m1": np.inf}, "m1"),
+    ("sdym_xi", {"n1": None, "n3": 0.0, "n4": 1.0}, "n1"),
+    ("mlxii_complex", {"a1": 0.5, "a2": np.inf, "a3": 0.1, "a4": 1.0}, "a2"),
+    ("mlxii_complex", {"a1": 0.5, "a2": 0.2, "a3": 0.1}, "a4"),
+])
+def test_lambda_rejects_missing_or_nonfinite_parameters(kind, params, name):
+    grid = _xyt_xi1_grid(6) if kind == "mlxii_complex" else _grid4(6)
+    with pytest.raises(DomainError, match=repr(name)):
+        zerocurv.lambda_field(kind, params, grid)
 
 
 def test_masked_norms_requires_points():
