@@ -1,0 +1,190 @@
+#!/usr/bin/env python3
+"""Output fingerprint for bit-identity claims.
+
+Prints one line per value: its name, a sha256 prefix of its repr and the
+repr itself.  It covers every value the benchmark's grids and transport
+checks return (perfbench/workloads.py, used read only), and the report,
+minus `timing`, of each command of the benchmark's CLI cycle, run in
+process.  A float's repr round-trips exactly, so equal lines mean equal
+values.  The arrays behind the checks get one line each, with a sha256 of
+their raw bytes and their shape, dtype and max |entry|.
+
+    PYTHONPATH=src python scripts/fingerprint.py --seeds 4242 17
+    PYTHONPATH=src python scripts/fingerprint.py --seeds 4242 --against OTHER
+
+--against runs the same script with OTHER/src first on the path in a
+subprocess, prints the lines that differ and exits 1 if any do.  Nothing
+here is a golden value: a numerics change that keeps every oracle bound
+is allowed, and then shows up as differing lines.
+"""
+
+from __future__ import annotations
+
+import argparse
+import difflib
+import hashlib
+import importlib.util
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def load_workloads():
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def line(name, value):
+    text = value if isinstance(value, str) else repr(value)
+    digest = hashlib.sha256(text.encode()).hexdigest()[:16]
+    return f"{name} {digest} {text}"
+
+
+def warm_lines(wl, seed):
+    """The verdict and every detail value of each check of the warm
+    workloads, in check order."""
+    out = []
+    for workload, (make_inputs, checks) in wl.WARM.items():
+        inputs = make_inputs(seed)
+        for check in checks:
+            res = check(inputs, {})
+            for name, ok, detail in (res if isinstance(res, list) else [res]):
+                prefix = f"{workload}/{seed}/{name}"
+                out.append(line(f"{prefix}.ok", bool(ok)))
+                out.extend(line(f"{prefix}.{k}", v)
+                           for k, v in sorted(detail.items()))
+    return out
+
+
+def array_line(name, arr):
+    digest = hashlib.sha256(arr.tobytes()).hexdigest()[:16]
+    peak = float(np.abs(arr).max())
+    return f"{name} {digest} {(arr.shape, str(arr.dtype), peak)!r}"
+
+
+def array_lines(wl, seed):
+    """Raw-byte digests of the arrays behind the warm checks, on the same
+    inputs: a check returns maxima, which miss a change in other entries."""
+    from solgeo import cases, frames, solitons, zerocurv
+
+    inp = wl.grids_inputs(seed)
+    arrays = {}
+    conn = inp["embedding_conn"]
+    pot = zerocurv.embed_sdym(conn["A"], conn["B"], conn["C"])
+    for k, r in zerocurv.sdym_complex_residuals(pot).items():
+        arrays[f"embedding.sdym.{k}"] = r
+    for k, r in zerocurv.zc_residual("mlxii", conn).items():
+        arrays[f"embedding.mlxii.{k}"] = r
+    fields = dict(inp["reduction_fields"])
+    grid = fields.pop("grid")
+    c = inp["reduction_c"]
+    for tag, eq, params in (("m3q-strachan", "m3q", {"c": c, "d": 0.0}),
+                            ("strachan", "strachan", {"c": c}),
+                            ("m3q-zi", "m3q", {"c": 0.0, "d": 1.0}),
+                            ("zi", "zi", {})):
+        res = solitons.pde_residual(eq, fields, params, grid=grid)
+        for k, r in res.items():
+            arrays[f"reduction.{tag}.{k}"] = r
+    n = inp["lambda_levels"][1]
+    for ip, params in enumerate(wl.LAMBDA_SETS):
+        grid = cases.default_grid_xi(n)
+        f = zerocurv.lambda_field("sdym_xi", params, grid)
+        arrays[f"lambda_set{ip}.lam"] = f.lam
+        for k, r in zerocurv.lambda_residual(f).items():
+            arrays[f"lambda_set{ip}.{k}"] = r
+    n = inp["gauge_levels"][1]
+    gauge = cases.pure_gauge_connection(
+        wl._gauge_grid(n, inp["gauge_origin"], "xyt"))
+    for k, r in zerocurv.zc_residual("mlxii", gauge).items():
+        arrays[f"gauge_zc.{k}"] = r
+
+    inp = wl.transport_inputs(seed)
+    for beta, (coeffs, h) in inp["frenet"].items():
+        arrays[f"frenet.beta{beta:+d}"] = frames.propagate_frenet(
+            frames.FrameTriad.standard(beta), coeffs, beta, h).data
+    s = cases.SURFACE_CASES["sphere-patch"](inp["surface_n"])
+    arrays["surface_sphere-patch.position"] = \
+        frames.reconstruct_surface(s).position.data
+    return [array_line(f"arrays/{seed}/{k}", v) for k, v in arrays.items()]
+
+
+def cli_lines(wl, seed, workdir, only=None):
+    """Exit code and report minus `timing` of each command of the CLI
+    cycle (or of the commands whose indices are in only), run in process
+    with its outputs under workdir, which the lines do not name."""
+    from solgeo import cli
+
+    out = []
+    for i, argv in enumerate(wl.cli_commands(seed, workdir)):
+        if only is not None and i not in only:
+            continue
+        path = os.path.join(workdir, f"report-{i}.json")
+        code = cli.main(argv + ["--report", path])
+        with open(path) as fh:
+            report = json.load(fh)
+        os.remove(path)
+        out.append(line(f"cli/{seed}/{i}-{argv[0]}.exit", code))
+        out.append(line(f"cli/{seed}/{i}-{argv[0]}.report",
+                        wl.report_key(report).replace(workdir, "WORKDIR")))
+    return out
+
+
+def fingerprint(seeds):
+    wl = load_workloads()
+    out = []
+    with tempfile.TemporaryDirectory(prefix="solgeo-fp-") as workdir:
+        for seed in seeds:
+            out += warm_lines(wl, seed)
+            out += array_lines(wl, seed)
+            out += cli_lines(wl, seed, workdir)
+    return out
+
+
+def run_against(other, seeds):
+    """This script's lines with other/src first on the path."""
+    src = os.path.join(os.path.abspath(other), "src")
+    if not os.path.isdir(os.path.join(src, "solgeo")):
+        raise SystemExit(f"fingerprint: no solgeo package under {src}")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, os.path.abspath(__file__),
+         "--seeds", *map(str, seeds)],
+        env=env, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"fingerprint: run on {other} failed "
+                         f"(exit {proc.returncode}):\n{proc.stderr}")
+    return proc.stdout.splitlines()
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", type=int, nargs="+", default=[4242])
+    ap.add_argument("--against", metavar="DIR",
+                    help="a checkout whose src/ to compare with")
+    args = ap.parse_args(argv)
+    lines = fingerprint(args.seeds)
+    if args.against is None:
+        print("\n".join(lines))
+        return 0
+    theirs = run_against(args.against, args.seeds)
+    diff = list(difflib.unified_diff(theirs, lines, args.against, "this tree",
+                                     n=0, lineterm=""))
+    print("\n".join(diff) if diff else
+          f"{len(lines)} lines identical, sha256 "
+          f"{hashlib.sha256(chr(10).join(lines).encode()).hexdigest()[:16]}")
+    return 1 if diff else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -421,6 +421,11 @@ def main(argv=None) -> int:
     except (DomainError, NumericalError, OSError) as exc:
         print(f"solgeo: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # a grid too large for this host is a usage error; numpy's message
+        # names the size it could not allocate
+        print(f"solgeo: out of memory: {exc}", file=sys.stderr)
+        return 2
     except ConstraintError as exc:
         print(f"solgeo: {exc} (defect {exc.defect})", file=sys.stderr)
         return 1

@@ -120,7 +120,18 @@ def diff_axis(data: np.ndarray, axis: int, h: float,
               periodic: bool) -> np.ndarray:
     """Second-order first derivative along one array axis; central in the
     interior, one-sided on open boundaries, wrap-around when periodic.
-    Returns a C-contiguous array."""
+    Returns a C-contiguous array.
+
+    Complex128 data is scaled on its float view, by the reciprocal of 2h.
+    numpy divides complex by real through complex division (Smith's
+    algorithm), which for a real divisor computes (re + im*0) * (1/(2h))
+    per component.  The product gives the same bits, except that a -0
+    component keeps its sign (the division can give +0) and that a
+    non-finite component does not turn its partner into NaN.  On a 32^3
+    stack of 3x3 matrices (2-core x86 host) the call went from 1.9-2.5
+    to 1.0-1.1 ms.  Real data keeps the division: a reciprocal product
+    would change the last bit of 12-51 % of the entries at the spacings
+    in use."""
     n = data.shape[axis]
     if n < 3:
         raise DomainError(f"need at least 3 points, got {n}")
@@ -133,7 +144,11 @@ def diff_axis(data: np.ndarray, axis: int, h: float,
     src, m = f.reshape(-1), f.size
     flat = out.reshape(-1)[p:m - p]
     np.subtract(src[2 * p:], src[:m - 2 * p], out=flat)
-    np.divide(flat, 2 * h, out=flat)
+    if flat.dtype == complex:
+        parts = flat.view(float)
+        np.multiply(parts, 1.0 / (2 * h), out=parts)
+    else:
+        np.divide(flat, 2 * h, out=flat)
     f = np.moveaxis(f, axis, 0)
     edge = np.moveaxis(out, axis, 0)
     if periodic:

@@ -386,10 +386,17 @@ def lambda_residual(f: SpectralField) -> dict:
 
 def masked_norms(res: np.ndarray, mask: np.ndarray) -> dict:
     """Max and root-mean-square of |res| off the mask, and the masked
-    share; a mask without True cells skips the gather."""
-    vals = np.abs(res[~mask] if mask.any() else res.reshape(-1))
+    share; mask must be a bool array of res's shape.  A mask without True
+    cells skips the gather, and the values are squared in place."""
+    if not (isinstance(mask, np.ndarray) and mask.dtype == bool
+            and mask.shape == res.shape):
+        raise DomainError(f"mask must be a bool array of shape {res.shape}, "
+                          f"got {np.asarray(mask).dtype} {np.shape(mask)}")
+    masked = np.count_nonzero(mask)
+    vals = np.abs(res[~mask] if masked else res.reshape(-1))
     if not vals.size:
         raise DomainError("no unmasked points to evaluate")
-    out = {"max": float(vals.max()), "l2": float(np.sqrt(np.mean(vals**2))),
-           "mask_coverage": float(mask.mean())}
-    return out
+    vmax = float(vals.max())
+    np.square(vals, out=vals)
+    return {"max": vmax, "l2": float(np.sqrt(np.mean(vals))),
+            "mask_coverage": masked / mask.size}

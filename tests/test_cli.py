@@ -140,6 +140,23 @@ def test_perturb_outside_lax_is_usage_error(argv, via, tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_out_of_memory_is_usage_error(monkeypatch, capsys):
+    # a grid too large for the host: numpy raises a MemoryError naming the
+    # size (simulated here; a real attempt can get the process killed on an
+    # overcommitting host instead)
+    def too_big(params, n):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with "
+                          f"shape ({n}, {n}, {n}, {n}) and data type float64")
+    monkeypatch.setattr(cases, "lambda_defect", too_big)
+    assert run(["check", "--kind", "lambda", "--n", "100000",
+                "--refine", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("solgeo: out of memory:")
+    assert "74.5 GiB" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("refine", ["0", "1"])
 @pytest.mark.parametrize("argv", [
     ["check", "--system", "mlxii", "--case", "pure-gauge", "--n", "8"],

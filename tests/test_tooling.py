@@ -112,3 +112,41 @@ def test_export_surface_meshes_script(tmp_path):
         "cylinder.obj", "plane.obj", "sphere-patch.obj"]
     assert errors["sphere-patch"] < 1e-3 and errors["cylinder"] < 1e-3
     assert errors["plane"] == 0.0
+
+
+def load_fingerprint():
+    path = os.path.join(ROOT, "scripts", "fingerprint.py")
+    spec = importlib.util.spec_from_file_location("fingerprint", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fingerprint_is_repeatable_and_covers_every_check(tmp_path):
+    # the fingerprint behind bit-identity claims: identical across two runs
+    # in one process, one line per returned value of every warm check
+    fp = load_fingerprint()
+    wl = fp.load_workloads()
+
+    def run_once():
+        return (fp.warm_lines(wl, 5) + fp.array_lines(wl, 5)
+                + fp.cli_lines(wl, 5, str(tmp_path), only={1}))
+
+    lines = run_once()
+    assert lines == run_once()
+    names = {ln.split()[0] for ln in lines}
+    assert len(names) == len(lines)
+    checks = {n.split("/")[2].rsplit(".", 1)[0] for n in names
+              if n.startswith(("grids/", "transport/"))}
+    assert checks == {
+        "gauge_zc", "lambda_set0", "lambda_set1", "lambda_set2",
+        "planewave_ds", "planewave_zi", "planewave_strachan",
+        "reduction_strachan", "reduction_zi", "embedding", "antider_x",
+        "frenet_rodrigues", "frenet_scipy", "surface_sphere-patch",
+        "surface_cylinder", "commutation_2d", "lax_zi_refinement",
+        "lax_zi_discrimination"}
+    assert all(ln.endswith(" True") for ln in lines if
+               ln.split()[0].endswith(".ok"))
+    assert {n for n in names if n.startswith("cli/")} == {
+        "cli/5/1-check.exit", "cli/5/1-check.report"}
+    assert any(n.startswith("arrays/5/embedding.") for n in names)

@@ -267,6 +267,36 @@ def test_embedding_identity_random_connections(seed):
     assert defect <= 1e-13
 
 
+def _swapped_slots(embed, a, b):
+    def swapped(A, B, C):
+        pot = dict(embed(A, B, C))
+        pot[a], pot[b] = pot[b], pot[a]
+        return pot
+    return swapped
+
+
+def _unnegated(zc):
+    def residual(system, conn, params=None):
+        return zc(system, {k: sg.MatrixField(f.grid, -f.data)
+                           for k, f in conn.items()}, params)
+    return residual
+
+
+@pytest.mark.parametrize("attr,wrap", [
+    ("embed_sdym", lambda f: _swapped_slots(f, "b", "bbar")),
+    ("embed_sdym", lambda f: _swapped_slots(f, "a", "abar")),
+    ("zc_residual", _unnegated),
+])
+def test_embedding_identity_detects_wrong_embedding(monkeypatch, attr, wrap):
+    # negative controls: swapped potential slots, or the three-matrix
+    # residuals of the connection itself rather than of its negation, put
+    # the defect at order one (4.25, 3.69 and 5.28 here), far above 1e-13
+    conn = cases.random_connection(_grid3(8), np.random.default_rng(0))
+    monkeypatch.setattr(zerocurv, attr, wrap(getattr(zerocurv, attr)))
+    defect = zerocurv.embedding_identity_defect(conn["A"], conn["B"], conn["C"])
+    assert defect > 1.0
+
+
 # --- curvature and duality ----------------------------------------------------
 
 def test_curvature_abelian_gradient_is_flat():
@@ -475,3 +505,28 @@ def test_lambda_rejects_missing_or_nonfinite_parameters(kind, params, name):
 def test_masked_norms_requires_points():
     with pytest.raises(DomainError):
         zerocurv.masked_norms(np.zeros((3, 3)), np.ones((3, 3), dtype=bool))
+
+
+def _corner(dtype):
+    mask = np.zeros((4, 4), dtype=dtype)
+    mask[3, 3] = 1
+    return mask
+
+
+@pytest.mark.parametrize("mask", [
+    # an integer mask would index rows: ~1 == -2, so rows were gathered
+    # and the max read 15 where the unmasked max is 14
+    _corner(int),
+    # wrong shape without a True cell: coverage of the wrong grid
+    np.zeros((4, 5), dtype=bool),
+    # wrong shape with a True cell: a raw IndexError before
+    np.ones((2, 2), dtype=bool),
+    [[False] * 4] * 4,
+])
+def test_masked_norms_rejects_non_bool_or_misshaped_masks(mask):
+    res = np.arange(16.0).reshape(4, 4)
+    with pytest.raises(DomainError, match="mask must be a bool array"):
+        zerocurv.masked_norms(res, mask)
+    assert zerocurv.masked_norms(res, _corner(bool)) == {
+        "max": 14.0, "l2": float(np.sqrt(np.mean(np.arange(15.0) ** 2))),
+        "mask_coverage": 1 / 16}
