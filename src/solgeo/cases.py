@@ -8,14 +8,17 @@ with textbook fundamental forms.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from solgeo import frames
 from solgeo import grid as sg
-from solgeo import solitons
-from solgeo import zerocurv
 from solgeo.errors import DomainError
-from solgeo.waves import Wave
+
+# each builder imports the modules it calls, so a command that needs one
+# case does not load the solvers behind the others
+if TYPE_CHECKING:
+    from solgeo import frames, solitons, zerocurv
 
 CASE_NAMES = ("planewave-ds", "planewave-zi", "planewave-strachan",
               "uniform-spin", "pure-gauge", "rational-lambda",
@@ -46,6 +49,9 @@ def planewave(eq: str, k: float = 1.0, l: float = 2.0, v0: float = 1.0,
     Defaults keep k, l and w integral so the wave is exactly periodic on the
     2*pi boxes the finite-difference and spectral checks use.
     """
+    from solgeo import solitons
+    from solgeo.waves import Wave
+
     params = dict(params or {})
     alpha = solitons.get_alpha(params)
     if eq == "ds":
@@ -93,6 +99,8 @@ def default_grid_xyt(n: int = 24) -> sg.GridSpec:
 
 def uniform_spin(grid: sg.GridSpec | None = None, r2: int = 1) -> solitons.Spin:
     """S = (0, 0, 1), u = w = 0 everywhere."""
+    from solgeo import solitons
+
     if grid is None:
         grid = default_grid_xyt(12)
     S = np.zeros(grid.shape + (3,))
@@ -162,6 +170,8 @@ def pure_gauge_connection(grid: sg.GridSpec | None = None,
 def pure_gauge_defect(system: str, n: int) -> float:
     """Worst zero-curvature residual of the pure-gauge connection on the
     default n^3 gauge grid; gmce takes the (A, B) pair alone."""
+    from solgeo import zerocurv
+
     axes = ("x", "y") if system == "gmce" else ("x", "y", "t")
     conn = pure_gauge_connection(default_grid_gauge(n), axes=axes)
     res = zerocurv.zc_residual(system, conn)
@@ -186,6 +196,8 @@ def default_grid_xi(n: int = 12) -> sg.GridSpec:
 
 def rational_lambda(params: dict | None = None,
                     grid: sg.GridSpec | None = None) -> zerocurv.SpectralField:
+    from solgeo import zerocurv
+
     if params is None:
         params = LAMBDA_PARAMS[0]
     if grid is None:
@@ -196,6 +208,8 @@ def rational_lambda(params: dict | None = None,
 def lambda_defect(params: dict, n: int) -> float:
     """Worst masked residual of the sdym_xi spectral parameter with the
     given parameters on the default n^4 xi-grid."""
+    from solgeo import zerocurv
+
     res = zerocurv.lambda_residual(
         zerocurv.lambda_field("sdym_xi", params, default_grid_xi(n)))
     mask = res.pop("mask")
@@ -220,6 +234,8 @@ def _zero_gamma(shape):
 def sphere_patch(n: int = 32) -> frames.SurfaceData:
     """Unit sphere, inward normal: E=1, F=0, G=cos^2 x, L=1, M=0, N=cos^2 x,
     p11=p22=-1, Gamma^2_12=-tan x, Gamma^1_22=sin x cos x."""
+    from solgeo import frames
+
     g = _surface_grid(n, -0.6, 0.6, 0.0, 1.0)
     x, _ = g.meshes()
     one = np.ones(g.shape)
@@ -236,6 +252,8 @@ def sphere_patch(n: int = 32) -> frames.SurfaceData:
 
 def cylinder(n: int = 32) -> frames.SurfaceData:
     """Unit cylinder, outward normal: E=G=1, F=0, L=-1, M=N=0, p11=1."""
+    from solgeo import frames
+
     g = _surface_grid(n, 0.0, 1.2, 0.0, 1.0)
     one = np.ones(g.shape)
     zero = np.zeros(g.shape)
@@ -248,6 +266,8 @@ def cylinder(n: int = 32) -> frames.SurfaceData:
 
 
 def plane(n: int = 16) -> frames.SurfaceData:
+    from solgeo import frames
+
     g = _surface_grid(n, 0.0, 1.0, 0.0, 1.0)
     one = np.ones(g.shape)
     zero = np.zeros(g.shape)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import resource
 import sys
@@ -29,7 +30,9 @@ _apply_thread_cap()
 
 import numpy as np  # noqa: E402
 
-from solgeo import __version__, cases, frames, liealg, solitons  # noqa: E402
+# each subcommand imports the modules it runs, so a cold process compiles
+# and loads only those
+from solgeo import __version__  # noqa: E402
 from solgeo import grid as sg  # noqa: E402
 from solgeo.errors import ConstraintError, DomainError, NumericalError  # noqa: E402
 
@@ -76,6 +79,8 @@ def _write_report(path, config, checks, seed, timing):
 # --- check subcommand ---------------------------------------------------------
 
 def _check_planewave(args):
+    from solgeo import cases, solitons
+
     eq = args.eq
     case_eq = {"planewave-ds": "ds", "planewave-zi": "zi",
                "planewave-strachan": "strachan"}.get(args.case)
@@ -113,6 +118,8 @@ def _window_check(name, study):
 
 
 def _check_pure_gauge(args):
+    from solgeo import cases
+
     study = sg.refinement_study(
         lambda lv: cases.pure_gauge_defect(args.system, args.n * 2**lv + 1),
         _refine_levels(args))
@@ -120,6 +127,8 @@ def _check_pure_gauge(args):
 
 
 def _check_lambda(args):
+    from solgeo import cases
+
     levels = _refine_levels(args)
     checks = []
     for ip, params in enumerate(cases.LAMBDA_PARAMS):
@@ -130,6 +139,8 @@ def _check_lambda(args):
 
 
 def _check_reduction(args):
+    from solgeo import cases, solitons
+
     if args.seed < 0:
         raise DomainError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
@@ -157,6 +168,8 @@ def _check_reduction(args):
 
 
 def _check_lax(args):
+    from solgeo import cases, solitons
+
     levels = _refine_levels(args)
     pw = cases.planewave("zi")
     report = solitons.lax_refinement_report(
@@ -181,6 +194,10 @@ def _check_lax(args):
 
 
 def cmd_check(args):
+    # nan compares false and inf would pass every value, so neither gates
+    if args.tol is not None and not 0.0 <= args.tol < math.inf:
+        raise DomainError("--tol must be finite and non-negative, "
+                          f"got {args.tol}")
     if args.perturb and args.kind != "lax":
         # only the lax check has a negative control to run
         raise DomainError("--perturb applies to --kind lax only")
@@ -202,6 +219,8 @@ def cmd_check(args):
 # --- surface subcommand -------------------------------------------------------
 
 def cmd_surface(args):
+    from solgeo import cases, frames
+
     if args.case not in cases.SURFACE_CASES:
         raise DomainError(f"unknown surface case {args.case!r}")
     s = cases.SURFACE_CASES[args.case](args.n)
@@ -227,6 +246,8 @@ def cmd_surface(args):
 # --- case subcommand ----------------------------------------------------------
 
 def cmd_case(args):
+    from solgeo import cases
+
     name = args.name
     if name not in cases.CASE_NAMES:
         raise DomainError(f"unknown case {name!r}")
@@ -255,6 +276,8 @@ def cmd_case(args):
             put(f"{name}-{key}.field", sg.ScalarField(sp.grid, sp.S[..., i]))
         put(f"{name}-u.field", sg.ScalarField(sp.grid, sp.u))
     elif name == "pure-gauge":
+        from solgeo import liealg
+
         conn = cases.pure_gauge_connection(cases.default_grid_gauge(args.n))
         for key, f in conn.items():
             put(f"{name}-{key}.field", sg.MatrixField(f.grid, liealg.hat(f.data)))
@@ -262,6 +285,8 @@ def cmd_case(args):
         f = cases.rational_lambda()
         put(f"{name}.field", sg.ScalarField(f.grid, f.lam))
     else:
+        from solgeo import frames
+
         s = cases.SURFACE_CASES[name](args.n)
         result = frames.reconstruct_surface(s)
         frames.export_obj(os.path.join(outdir, f"{name}.obj"), result.position)
@@ -273,6 +298,8 @@ def cmd_case(args):
 # --- frame subcommand ---------------------------------------------------------
 
 def cmd_frame(args):
+    from solgeo import frames, liealg
+
     coeffs = [liealg.CoeffTriple.x(args.k, args.tau, args.sigma)] * args.n
     field = frames.propagate_frenet(frames.FrameTriad.standard(args.beta),
                                     coeffs, args.beta, args.h)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from solgeo import grid as sg
-from solgeo import liealg, zerocurv
+from solgeo import liealg
 from solgeo.errors import DomainError
 
 
@@ -241,6 +241,8 @@ def reconstruct_surface(s: SurfaceData) -> ReconstructionResult:
     The surface starts at the origin with the standard frame, n along
     r_x ^ r_y; the GMCE residual is flagged above 10 h_min^2.
     """
+    from solgeo import zerocurv
+
     s.check_metric()
     g = s.grid
     hx = g.axis("x").h

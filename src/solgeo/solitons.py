@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from solgeo import grid as sg
-from solgeo import liealg
 from solgeo.errors import DomainError, NumericalError
 from solgeo.waves import Wave
 
@@ -263,9 +262,10 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
         return {k: ops.finalize(r) for k, r in
                 zip(("q", "p", "v"), (r1, r2, r3))}
 
-    # spin systems: FD only
+    # spin systems: FD only, and the only residuals here that call liealg
     if mode != "fd":
         raise DomainError(f"{eq}: analytic mode not supported")
+    from solgeo import liealg
 
     if eq == "ishimori":
         S, u = fields["S"], fields["u"]
@@ -360,6 +360,8 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
         return {"A1": A1, "A2": A2, "A3": A3}
 
     if eq == "mi":
+        from solgeo import liealg
+
         S, u = fields["S"], fields["u"]
         r2sign = int(fields.get("r2", params.get("r2", 1)))
         if r2sign not in (1, -1):
@@ -518,6 +520,8 @@ def _zi_defect(fields, params, n_line, substeps):
     t-sweeps then run together from the identity at x = 0 (T0) and from
     Phi0 at x = end (ga), and gb = Phi1 @ T0.  The blow-up guard sees every
     step of both loops."""
+    from solgeo import liealg
+
     lam = params.get("lam", 0.3)
     span = dict(zip(("x", "t"), LAX_CELL))
     line = _periodic_line("y", n_line)

@@ -194,6 +194,25 @@ def test_refinement_checks_refuse_tol(argv, via, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+def test_non_finite_or_negative_tol_is_usage_error(tol, via, tmp_path,
+                                                   capsys):
+    # inf passes every value and nan none, so neither is a tolerance
+    argv = ["check", "--eq", "zi", "--case", "planewave-zi", "--n", "8"]
+    if via == "flag":
+        code = run(argv + ["--tol", str(tol)])
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"tol": tol}))
+        code = run(["--config", str(conf)] + argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("solgeo:") and "--tol" in captured.err
+    assert captured.out == ""
+
+
 def test_report_determinism_excluding_timing(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for p in paths:
@@ -404,6 +423,9 @@ def argv_grammar(draw):
                  "--seed", draw(st.sampled_from(["-1", "0", "7"]))]
         if draw(st.booleans()):
             argv.append("--perturb")
+        if draw(st.booleans()):
+            argv += ["--tol", draw(st.sampled_from(
+                ["inf", "nan", "-1", "1e-10"]))]
     elif cmd == "surface":
         argv = ["surface", "--case", draw(st.sampled_from(
             ["sphere-patch", "cylinder", "plane", "torus"])),
@@ -442,6 +464,9 @@ def test_any_command_line_keeps_exit_code_contract(tmp_path_factory, argv):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
+    if "--tol" in argv and argv[argv.index("--tol") + 1] != "1e-10":
+        # a tolerance that gates nothing is refused, never reported passed
+        assert code == 2, argv
 
 
 def test_config_file_merge_and_flag_priority(tmp_path):
@@ -568,6 +593,47 @@ def test_import_loads_no_scipy():
     proc = fresh_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# (command line, solgeo modules it must not load); [] is the bare
+# `import solgeo.cli`
+COLD_IMPORTS = [
+    ([], {"cases", "frames", "solitons", "zerocurv", "liealg", "waves"}),
+    (["check", "--eq", "zi", "--case", "planewave-zi", "--n", "4"],
+     {"frames", "zerocurv", "liealg"}),
+    (["check", "--eq", "m3q", "--case", "zi-reduction"],
+     {"frames", "zerocurv", "liealg"}),
+    (["check", "--system", "mlxii", "--case", "pure-gauge", "--n", "4",
+      "--refine", "2"], {"frames", "solitons"}),
+    (["check", "--kind", "lambda", "--n", "8", "--refine", "2"],
+     {"frames", "solitons"}),
+    (["check", "--kind", "lax", "--n", "8", "--refine", "2"],
+     {"frames", "zerocurv"}),
+    (["surface", "--case", "plane", "--n", "4"], {"solitons"}),
+    (["case", "planewave-ds", "--n", "4", "--out", "out"],
+     {"frames", "zerocurv", "liealg"}),
+    (["frame", "--n", "4"], {"cases", "solitons", "zerocurv", "waves"}),
+]
+
+
+@pytest.mark.parametrize("argv, absent", COLD_IMPORTS,
+                         ids=[" ".join(a[:3]) or "import"
+                              for a, _ in COLD_IMPORTS])
+def test_cold_command_imports_only_what_it_runs(argv, absent, tmp_path):
+    # a cold process pays for every module it loads, so each subcommand
+    # imports only its own
+    argv = [str(tmp_path / a) if a == "out" else a for a in argv]
+    code = ("import contextlib, io, json, sys\n"
+            "from solgeo import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.main({argv!r}) if {argv!r} else 0\n"
+            "print(json.dumps([code, [m for m in sys.modules\n"
+            "                         if m.startswith('solgeo.')]]))\n")
+    proc = fresh_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == 0
+    assert not {f"solgeo.{m}" for m in absent} & set(loaded)
 
 
 @pytest.mark.parametrize("argv", [
