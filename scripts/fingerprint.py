@@ -3,11 +3,12 @@
 
 Prints one line per value: its name, a sha256 prefix of its repr and the
 repr itself.  It covers every value the benchmark's grids and transport
-checks return (perfbench/workloads.py, used read only), and the report,
-minus `timing`, of each command of the benchmark's CLI cycle, run in
-process.  A float's repr round-trips exactly, so equal lines mean equal
-values.  The arrays behind the checks get one line each, with a sha256 of
-their raw bytes and their shape, dtype and max |entry|.
+checks return (perfbench/workloads.py, used read only), and, for each
+command of the benchmark's CLI cycle, run in process, the report minus
+`timing` and a sha256 prefix of every file the command writes.  A float's
+repr round-trips exactly, so equal lines mean equal values.  The arrays
+behind the checks get one line each, with a sha256 of their raw bytes and
+their shape, dtype and max |entry|.
 
     PYTHONPATH=src python scripts/fingerprint.py --seeds 4242 17
     PYTHONPATH=src python scripts/fingerprint.py --seeds 4242 --against OTHER
@@ -117,24 +118,42 @@ def array_lines(wl, seed):
     return [array_line(f"arrays/{seed}/{k}", v) for k, v in arrays.items()]
 
 
+def file_digests(directory):
+    """(path relative to directory, sha256 prefix) of every file under it,
+    sorted by path."""
+    out = []
+    for base, _, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as fh:
+                digest = hashlib.sha256(fh.read()).hexdigest()[:16]
+            out.append((os.path.relpath(path, directory), digest))
+    return sorted(out)
+
+
 def cli_lines(wl, seed, workdir, only=None):
-    """Exit code and report minus `timing` of each command of the CLI
-    cycle (or of the commands whose indices are in only), run in process
-    with its outputs under workdir, which the lines do not name."""
+    """Exit code, report minus `timing` and digests of the written files
+    of each command of the CLI cycle (or of the commands whose indices are
+    in only), run in process, each in a fresh directory under workdir,
+    which the lines do not name."""
     from solgeo import cli
 
     out = []
-    for i, argv in enumerate(wl.cli_commands(seed, workdir)):
+    for i in range(len(wl.cli_commands(seed, workdir))):
         if only is not None and i not in only:
             continue
-        path = os.path.join(workdir, f"report-{i}.json")
+        cmd_dir = tempfile.mkdtemp(prefix=f"{seed}-{i}-", dir=workdir)
+        argv = wl.cli_commands(seed, cmd_dir)[i]
+        path = os.path.join(cmd_dir, "report.json")
         code = cli.main(argv + ["--report", path])
         with open(path) as fh:
             report = json.load(fh)
         os.remove(path)
-        out.append(line(f"cli/{seed}/{i}-{argv[0]}.exit", code))
-        out.append(line(f"cli/{seed}/{i}-{argv[0]}.report",
-                        wl.report_key(report).replace(workdir, "WORKDIR")))
+        name = f"cli/{seed}/{i}-{argv[0]}"
+        out.append(line(f"{name}.exit", code))
+        out.append(line(f"{name}.report",
+                        wl.report_key(report).replace(cmd_dir, "WORKDIR")))
+        out.append(line(f"{name}.files", file_digests(cmd_dir)))
     return out
 
 

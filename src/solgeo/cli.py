@@ -305,12 +305,10 @@ def cmd_frame(args):
                                     coeffs, args.beta, args.h)
     drift = field.gram_defect()
     if args.out:
-        e1 = field.data[:, 0, :]
-        grid2 = sg.GridSpec.make(sg.Axis("x", args.n, args.h),
-                                 sg.Axis("y", 4, 1.0))
-        pad = np.zeros((args.n, 4))
-        pad[:, :3] = e1
-        sg.save_field_csv(args.out, sg.ScalarField(grid2, pad))
+        # e1 per sample, with a zero fourth column
+        rows = np.zeros((args.n, 4))
+        rows[:, :3] = field.data[:, 0, :]
+        sg.write_csv(args.out, rows)
     if args.beta == 1:
         tol = 1e-12
     elif args.sigma == 0.0:

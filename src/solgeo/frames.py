@@ -73,8 +73,10 @@ def propagate_frenet(start: FrameTriad, coeffs, beta: int, h: float) -> FrameFie
     midpoint-averaged skew matrix (Lie-group midpoint, order 2; exact for
     constant coefficients)."""
     coeffs = list(coeffs)
-    if len(coeffs) < 2:
-        raise DomainError("need at least two coefficient samples")
+    if len(coeffs) < 4:
+        # the frames live on a grid axis, which needs n >= 4
+        raise DomainError(f"need at least 4 coefficient samples, "
+                          f"got {len(coeffs)}")
     mats = liealg.skew_matrix(coeffs, beta)
     out = liealg.transport(_midpoint(mats, h), start.as_matrix())
     gspec = sg.GridSpec.make(sg.Axis("x", len(coeffs), h))

@@ -255,7 +255,18 @@ def save_field_csv(path, field):
     data = field.data
     if np.iscomplexobj(data):
         raise DomainError("CSV mode covers real fields only")
-    np.savetxt(path, np.atleast_2d(data), delimiter=",", fmt="%.17g")
+    write_csv(path, data)
+
+
+def write_csv(path, rows: np.ndarray):
+    """Write a real 1-D array as one row, or a 2-D array row by row, in
+    the bytes of np.savetxt(path, rows, delimiter=",", fmt="%.17g"),
+    formatted by one %-operation over the whole array rather than one
+    per row."""
+    rows = np.atleast_2d(rows)
+    line = ",".join(["%.17g"] * rows.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write(line * rows.shape[0] % tuple(rows.ravel().tolist()))
 
 
 def field_norms(data: np.ndarray):

@@ -305,6 +305,15 @@ def test_frame_command(tmp_path):
     assert rep["checks"][0]["max"] <= 1e-12
 
 
+@pytest.mark.parametrize("n", ["1", "2", "3"])
+def test_frame_too_few_samples_is_usage_error(n, tmp_path, capsys):
+    out = tmp_path / "e1.csv"
+    assert run(["frame", "--n", n, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"solgeo: need at least 4 coefficient samples, got {n}\n")
+    assert not out.exists()
+
+
 def test_frame_pseudo_orthogonal_gate_is_finite(tmp_path):
     # beta = -1 with sigma = 0 keeps E eta E^T = eta, so the drift is gated
     rp = tmp_path / "r.json"

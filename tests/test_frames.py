@@ -84,10 +84,18 @@ def test_propagate_varying_curvature_vs_ode_oracle():
     assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
 
 
-def test_propagate_rejects_short_input():
-    with pytest.raises(DomainError):
-        frames.propagate_frenet(frames.FrameTriad.standard(),
-                                [liealg.CoeffTriple.x(1, 0, 0)], 1, 0.1)
+def test_propagate_rejects_short_input(monkeypatch):
+    # the count is checked before any step is transported
+    def no_transport(*args):
+        raise AssertionError("transported a short input")
+
+    monkeypatch.setattr(liealg, "transport", no_transport)
+    for n in range(4):
+        with pytest.raises(DomainError, match=f"need at least 4 coefficient "
+                                              f"samples, got {n}"):
+            frames.propagate_frenet(frames.FrameTriad.standard(),
+                                    [liealg.CoeffTriple.x(1, 0, 0)] * n,
+                                    1, 0.1)
 
 
 def _gauge_grid_2d(n):

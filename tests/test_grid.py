@@ -229,6 +229,24 @@ def test_save_field_csv(tmp_path):
         sg.save_field_csv(p, sg.ScalarField(g, (x + 0j)))
 
 
+def test_csv_writers_match_savetxt_bytes(tmp_path):
+    # the whole-array %-format writes what np.savetxt writes, special
+    # values included; a 1-D field is one row
+    special = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, 0.1, -1e300,
+                        1 / 3])
+    g1 = sg.GridSpec.make(sg.Axis("x", 8, 0.1))
+    g2 = grid2d(8)
+    data2 = np.stack([np.roll(special, k) for k in range(8)])
+    ref = tmp_path / "ref.csv"
+    for i, (g, data) in enumerate([(g1, special), (g2, data2)]):
+        np.savetxt(ref, np.atleast_2d(data), delimiter=",", fmt="%.17g")
+        field_path, bare_path = tmp_path / f"f{i}.csv", tmp_path / f"b{i}.csv"
+        sg.save_field_csv(field_path, sg.ScalarField(g, data))
+        sg.write_csv(bare_path, data)
+        assert field_path.read_bytes() == ref.read_bytes()
+        assert bare_path.read_bytes() == ref.read_bytes()
+
+
 def test_field_norms():
     data = np.zeros((4, 5))
     data[2, 3] = -3.0

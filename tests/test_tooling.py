@@ -130,7 +130,7 @@ def test_fingerprint_is_repeatable_and_covers_every_check(tmp_path):
 
     def run_once():
         return (fp.warm_lines(wl, 5) + fp.array_lines(wl, 5)
-                + fp.cli_lines(wl, 5, str(tmp_path), only={1}))
+                + fp.cli_lines(wl, 5, str(tmp_path), only={1, 7}))
 
     lines = run_once()
     assert lines == run_once()
@@ -148,5 +148,10 @@ def test_fingerprint_is_repeatable_and_covers_every_check(tmp_path):
     assert all(ln.endswith(" True") for ln in lines if
                ln.split()[0].endswith(".ok"))
     assert {n for n in names if n.startswith("cli/")} == {
-        "cli/5/1-check.exit", "cli/5/1-check.report"}
+        "cli/5/1-check.exit", "cli/5/1-check.report", "cli/5/1-check.files",
+        "cli/5/7-frame.exit", "cli/5/7-frame.report", "cli/5/7-frame.files"}
+    files = {ln.split()[0]: ln.split(" ", 2)[2] for ln in lines
+             if ln.startswith("cli/")}
+    assert files["cli/5/1-check.files"] == "[]"
+    assert files["cli/5/7-frame.files"].startswith("[('frame.csv', '")
     assert any(n.startswith("arrays/5/embedding.") for n in names)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,24 @@ def test_embedding_identity_random_connections(seed):
     conn = cases.random_connection(g, rng)
     defect = zerocurv.embedding_identity_defect(conn["A"], conn["B"], conn["C"])
     assert defect <= 1e-13
+
+
+def test_embedding_identity_live_set_is_bounded():
+    # the check streams its three identity lines through one scratch array
+    # and lets the potentials and the negated connection die inside the
+    # calls that use them; unstreamed, the peak was 17.0 input stacks here
+    conn = cases.random_connection(_grid3(16), np.random.default_rng(4242))
+    stack = conn["A"].data.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        defect = zerocurv.embedding_identity_defect(conn["A"], conn["B"],
+                                                    conn["C"])
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert defect <= 1e-13
+    assert peak <= 13 * stack, peak / stack
 
 
 def _swapped_slots(embed, a, b):
