@@ -18,7 +18,7 @@ from solgeo.errors import DomainError
 # each builder imports the modules it calls, so a command that needs one
 # case does not load the solvers behind the others
 if TYPE_CHECKING:
-    from solgeo import frames, solitons, zerocurv
+    from solgeo import frames, zerocurv
 
 CASE_NAMES = ("planewave-ds", "planewave-zi", "planewave-strachan",
               "uniform-spin", "pure-gauge", "rational-lambda",
@@ -97,16 +97,12 @@ def default_grid_xyt(n: int = 24) -> sg.GridSpec:
 
 # --- spin cases ---------------------------------------------------------------
 
-def uniform_spin(grid: sg.GridSpec | None = None, r2: int = 1) -> solitons.Spin:
-    """S = (0, 0, 1), u = w = 0 everywhere."""
-    from solgeo import solitons
-
-    if grid is None:
-        grid = default_grid_xyt(12)
+def uniform_spin(grid: sg.GridSpec) -> dict:
+    """S = (0, 0, 1), u = w = 0 everywhere: the fields {S, u, w}."""
     S = np.zeros(grid.shape + (3,))
     S[..., 2] = 1.0
     zero = np.zeros(grid.shape)
-    return solitons.Spin(grid, S, u=zero, w=zero, r2=r2)
+    return {"S": S, "u": zero, "w": zero}
 
 
 # --- pure-gauge connection ----------------------------------------------------

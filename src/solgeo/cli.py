@@ -271,10 +271,11 @@ def cmd_case(args):
             fh.write("\n")
         written.append(os.path.join(outdir, f"{name}-params.json"))
     elif name == "uniform-spin":
-        sp = cases.uniform_spin()
+        grid = cases.default_grid_xyt(12)
+        sp = cases.uniform_spin(grid)
         for i, key in enumerate(("s1", "s2", "s3")):
-            put(f"{name}-{key}.field", sg.ScalarField(sp.grid, sp.S[..., i]))
-        put(f"{name}-u.field", sg.ScalarField(sp.grid, sp.u))
+            put(f"{name}-{key}.field", sg.ScalarField(grid, sp["S"][..., i]))
+        put(f"{name}-u.field", sg.ScalarField(grid, sp["u"]))
     elif name == "pure-gauge":
         from solgeo import liealg
 
@@ -376,8 +377,8 @@ def _config_defaults(path, parsed):
     subcommand's namespace as a dict).
 
     Values are handed to argparse as command-line text, so each flag's
-    type= applies to them; null leaves an option unset, and a store_true
-    flag takes only true or false.
+    type= applies to them; null keeps the flag's own default, and a
+    store_true flag takes only true or false.
     """
     with open(path) as fh:
         conf = json.load(fh)
@@ -386,14 +387,14 @@ def _config_defaults(path, parsed):
     out = {}
     for key, val in conf.items():
         dest = key.replace("-", "_")
-        if dest not in parsed or dest in ("config", "command"):
+        if val is None or dest not in parsed or dest in ("config", "command"):
             continue
         if isinstance(parsed[dest], bool):
             if not isinstance(val, bool):
                 raise ValueError(f"{key}: expected true or false")
             out[dest] = val
         else:
-            out[dest] = val if val is None else str(val)
+            out[dest] = str(val)
     return out
 
 

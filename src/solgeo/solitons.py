@@ -9,8 +9,6 @@ a, b, c, d, beta, r2, l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from solgeo import grid as sg
@@ -30,29 +28,6 @@ def _nonzero(value, name):
     if value == 0:
         raise DomainError(f"{name} must be nonzero")
     return value
-
-
-@dataclass(frozen=True)
-class ComplexPair:
-    """Soliton fields (q, p) with the potentials the equation needs."""
-
-    grid: sg.GridSpec
-    q: np.ndarray
-    p: np.ndarray
-    v: np.ndarray | None = None
-    v1: np.ndarray | None = None
-    v2: np.ndarray | None = None
-
-
-@dataclass(frozen=True)
-class Spin:
-    """Spin vector field S (shape grid + (3,)) with its scalar potential."""
-
-    grid: sg.GridSpec
-    S: np.ndarray
-    u: np.ndarray | None = None
-    w: np.ndarray | None = None
-    r2: int = 1
 
 
 # --- derivative backends -----------------------------------------------------
@@ -170,32 +145,18 @@ def _dot(a, b):
 
 # --- residuals ---------------------------------------------------------------
 
-def _unpack(fields: dict, grid):
-    """Fields with a ComplexPair under "pair" or a Spin under "spin" spread
-    into named entries, and the grid they live on (the container's grid
-    wins over `grid`); bare arrays without a grid are a DomainError."""
-    for key, names in (("pair", ("q", "p", "v", "v1", "v2")),
-                       ("spin", ("S", "u", "w", "r2"))):
-        if key in fields:
-            grid = fields[key].grid
-            fields = {**fields,
-                      **{n: getattr(fields[key], n) for n in names}}
-    if grid is None:
-        raise DomainError("grid required")
-    return fields, grid
-
-
 def pde_residual(eq: str, fields: dict, params: dict | None = None,
                  mode: str = "fd", grid=None) -> dict:
     """One residual array per printed equation line.
 
-    In "fd" mode the fields are sampled arrays on `grid` (or on the grid of
-    a ComplexPair/Spin passed via fields["pair"]/fields["spin"]); in
-    "analytic" mode the scalar fields are Wave objects and derivatives are
-    exact, so a residual reflects transcription alone.
+    In "fd" mode the fields are sampled arrays on `grid`; in "analytic"
+    mode the scalar fields are Wave objects and derivatives are exact, so
+    a residual reflects transcription alone.  The mi signature sign is
+    params["r2"] (default +1).
     """
     params = params or {}
-    fields, grid = _unpack(fields, grid)
+    if grid is None:
+        raise DomainError("grid required")
     ops = _ops(grid, mode)
     d = ops.d
     alpha = get_alpha(params)
@@ -306,7 +267,7 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
 
     if eq == "mi":
         S, u = fields["S"], fields["u"]
-        r2sign = int(fields.get("r2", params.get("r2", 1)))
+        r2sign = int(params.get("r2", 1))
         Sm = liealg.spin_matrix(S, r2sign)
         Sx, Sy = d(Sm, "x"), d(Sm, "y")
         inner = liealg.commutator(Sm, Sy) + 2j * u[..., None, None] * Sm
@@ -328,13 +289,15 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
     """Lax matrices exactly as printed, with the derivatives of the backend
     ops on the grid (default FDOps).
 
-    zi -> {A1, A2, A3}; mi -> {A3, A4}; zii -> {B0, B1, C0, C1, C2} with the
-    diagonal C0 entries obtained by Fourier-symbol inversion of the
-    constant-coefficient first-order operators (zero-mean gauge) on the
-    doubly periodic (x, y) axes; any further grid axes are batch axes.
+    zi -> {A1, A2, A3}; mi -> {A3, A4} with the sign params["r2"];
+    zii -> {B0, B1, C0, C1, C2} with the diagonal C0 entries obtained by
+    Fourier-symbol inversion of the constant-coefficient first-order
+    operators (zero-mean gauge) on the doubly periodic (x, y) axes; any
+    further grid axes are batch axes.
     """
     params = params or {}
-    fields, grid = _unpack(fields, grid)
+    if grid is None:
+        raise DomainError("grid required")
     ops = ops or FDOps(grid)
     d = ops.d
 
@@ -363,7 +326,7 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
         from solgeo import liealg
 
         S, u = fields["S"], fields["u"]
-        r2sign = int(fields.get("r2", params.get("r2", 1)))
+        r2sign = int(params.get("r2", 1))
         if r2sign not in (1, -1):
             raise DomainError("r2 must be +1 or -1")
         # r is lifted as 1 (r2=+1) or i (r2=-1) inside the complex Lax

@@ -5,7 +5,6 @@ parameter fields with their defining first-order equations."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -267,7 +266,7 @@ class SpectralField:
     kind: str
     params: dict
     lam: np.ndarray
-    mask: np.ndarray  # True where excluded (near the pole locus)
+    mask: np.ndarray  # True where a residual stencil reaches the pole band
 
 
 def _coord(g: sg.GridSpec, name: str):
@@ -305,9 +304,16 @@ def lambda_field(kind: str, params: dict, g: sg.GridSpec) -> SpectralField:
     mlxii_complex: lam = (a1*x_abar + a2*x_bbar + a3)/(a2*x_a - a1*x_b + a4)
     on an (x, y, t, xi1) grid where xi1 plays the z coordinate.
 
-    The pole mask and the safe denominator are taken on the sparse
-    numerator and denominator; only the quotient is grid-sized.
+    lam is zeroed where |den| <= band = 2 h_max (bound on |grad den|),
+    and the mask is |den| <= 2 band: the band plus the stencil reach.  Both
+    are taken on the sparse numerator and denominator; only the quotient
+    is grid-sized.  A rational lam is not periodic, and the reach holds on
+    open axes only, so a periodic axis is a DomainError.
     """
+    periodic = [a.name for a in g.axes if a.periodic]
+    if periodic:
+        raise DomainError(f"lambda fields need open axes, got periodic "
+                          f"{periodic}")
     hmax = max(a.h for a in g.axes)
     if kind == "sdym_xi":
         n1, n3, n4, m1 = _lambda_params(params, ("n1", "n3", "n4", "m1"),
@@ -331,46 +337,26 @@ def lambda_field(kind: str, params: dict, g: sg.GridSpec) -> SpectralField:
     else:
         raise DomainError(f"unknown lambda kind {kind!r}")
 
-    pole = np.abs(den) <= 2.0 * hmax * max(grad_bound, 1e-300)
+    # den is affine, so over the <= 2 cells a stencil reaches along one
+    # axis it moves by at most one band: that reach is the second band
+    band = 2.0 * hmax * max(grad_bound, 1e-300)
+    aden = np.abs(den)
+    pole = aden <= band
     if pole.all():
         raise DomainError("entire grid lies inside the pole mask")
     den = np.where(pole, 1.0, den)
     lam = np.empty(g.shape, dtype=np.result_type(num, den))
     np.divide(num, den, out=lam)
-    mask = np.broadcast_to(pole, g.shape).copy()
+    mask = np.broadcast_to(aden <= 2.0 * band, g.shape).copy()
     if pole.any():
         np.copyto(lam, 0.0, where=pole)
     return SpectralField(g, kind, dict(params), lam, mask)
 
 
-def _dilate_mask(mask: np.ndarray) -> np.ndarray:
-    """mask or-ed with its shifts by +-1 and +-2 along each axis.  Shifts
-    wrap around as np.roll does; the wrapped slab is conservative (extra
-    masking).  A mask without True cells comes back as a copy."""
-    out = mask.copy()
-    if not out.any():
-        return out
-    shifted = np.empty(mask.shape, dtype=bool)
-    flat, src = shifted.reshape(-1), mask.reshape(-1)
-    for ax, n in enumerate(mask.shape):
-        # a shift by s along ax is a flat shift by s * p, except on the s
-        # slabs each block of the axis wraps around, which are rewritten
-        p = math.prod(mask.shape[ax + 1:])
-        block, m = shifted.reshape(-1, n, p), mask.reshape(-1, n, p)
-        for s in (1, 2):
-            flat[s * p:] = src[:-s * p]
-            block[:, :s] = m[:, -s:]
-            out |= shifted
-            flat[:-s * p] = src[s * p:]
-            block[:, -s:] = m[:, :s]
-            out |= shifted
-    return out
-
-
 def lambda_residual(f: SpectralField) -> dict:
-    """Finite-difference residuals of the defining first-order equations,
-    with the pole mask dilated by 2 cells to cover stencil reach.  Returns
-    residual arrays plus the evaluation mask under key "mask"."""
+    """Finite-difference residuals of the defining first-order equations.
+    Returns residual arrays plus a copy of the field's mask, which already
+    covers the stencil reach, under key "mask"."""
     g = f.grid
 
     def d(name):
@@ -392,24 +378,20 @@ def lambda_residual(f: SpectralField) -> dict:
         alpha += f.lam * (dx + 1j * dy)
         res = {"beta": beta, "alpha": alpha}
 
-    mask = _dilate_mask(f.mask)
-    res["mask"] = mask
+    res["mask"] = f.mask.copy()
     return res
 
 
 def masked_norms(res: np.ndarray, mask: np.ndarray) -> dict:
-    """Max and root-mean-square of |res| off the mask, and the masked
-    share; mask must be a bool array of res's shape.  A mask without True
-    cells skips the gather, and the values are squared in place."""
+    """Max of |res| off the mask, and the masked share; mask must be a bool
+    array of res's shape.  A mask without True cells skips the gather."""
     if not (isinstance(mask, np.ndarray) and mask.dtype == bool
             and mask.shape == res.shape):
         raise DomainError(f"mask must be a bool array of shape {res.shape}, "
                           f"got {np.asarray(mask).dtype} {np.shape(mask)}")
     masked = np.count_nonzero(mask)
-    vals = np.abs(res[~mask] if masked else res.reshape(-1))
+    vals = res[~mask] if masked else res
     if not vals.size:
         raise DomainError("no unmasked points to evaluate")
-    vmax = float(vals.max())
-    np.square(vals, out=vals)
-    return {"max": vmax, "l2": float(np.sqrt(np.mean(vals))),
+    return {"max": float(np.abs(vals).max()),
             "mask_coverage": masked / mask.size}

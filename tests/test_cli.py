@@ -560,6 +560,46 @@ def test_config_value_inside_choices_runs(tmp_path):
         f"lambda-set{i}-refinement" for i in range(3)]
 
 
+def _outcome(argv, capsys):
+    """Exit code and stdout report minus timing of one in-process run."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
+    out = capsys.readouterr().out
+    report = json.loads(out) if out else None
+    if report:
+        report.pop("timing")
+    return code, report
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--eq", "zi", "--case", "planewave-zi", "--n", "8"],
+    ["check", "--kind", "lambda", "--n", "4", "--refine", "2"],
+    ["check", "--eq", "m3q", "--case", "zi-reduction"],
+    ["surface", "--case", "plane", "--n", "8"],
+    ["case", "uniform-spin", "--out", "fields"],
+    ["frame", "--n", "20"],
+], ids=lambda argv: "-".join(a.lstrip("-") for a in argv[:3]))
+def test_config_null_keeps_each_flag_default(tmp_path, monkeypatch, capsys,
+                                             argv):
+    # a config key set to null runs as if the key were absent, for every
+    # option of every subcommand
+    monkeypatch.chdir(tmp_path)
+    _, commands = cli._build_parser()
+    for action in commands[argv[0]]._actions:
+        if action.dest == "help":
+            continue
+        base = list(argv)
+        if action.option_strings and action.option_strings[0] in base:
+            i = base.index(action.option_strings[0])
+            del base[i:i + 1 + (action.nargs != 0)]
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({action.dest: None}))
+        assert (_outcome(["--config", str(conf), *base], capsys)
+                == _outcome(base, capsys)), (action.dest, base)
+
+
 @pytest.mark.parametrize("argv", [
     ["check", "--eq", "zi", "--case", "planewave-zi",
      "--report", "/nonexistent/x.json"],

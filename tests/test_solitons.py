@@ -89,22 +89,11 @@ def test_pde_residual_error_paths():
     with pytest.raises(DomainError):
         solitons.pde_residual("nope", {"q": zero, "p": zero, "v": zero},
                               grid=grid)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="grid required"):
         solitons.pde_residual("ds", {"q": zero, "p": zero, "v": zero})
-    sp = cases.uniform_spin(grid)
-    with pytest.raises(DomainError):
-        solitons.pde_residual("ishimori", {"spin": sp}, mode="analytic")
-
-
-def test_pair_container_unpacks():
-    grid = _grid(8)
-    pw = cases.planewave("zi")
-    f = _sample_pw(pw, grid)
-    pair = solitons.ComplexPair(grid, f["q"], f["p"], v=f["v"])
-    ra = solitons.pde_residual("zi", {"pair": pair}, pw["params"])
-    rb = solitons.pde_residual("zi", f, pw["params"], grid=grid)
-    for k in ra:
-        assert np.array_equal(ra[k], rb[k])
+    with pytest.raises(DomainError, match="analytic mode not supported"):
+        solitons.pde_residual("ishimori", cases.uniform_spin(grid),
+                              mode="analytic", grid=grid)
 
 
 # --- reductions ---------------------------------------------------------------
@@ -175,9 +164,8 @@ def test_zii_sign_variant_flips_one_line():
 
 @pytest.mark.parametrize("eq", ["ishimori", "mix", "mviii", "mxxxiv", "mi"])
 def test_uniform_spin_is_steady_state(eq):
-    sp = cases.uniform_spin(_grid(8))
-    fields = {"spin": sp}
-    res = solitons.pde_residual(eq, fields, {})
+    grid = _grid(8)
+    res = solitons.pde_residual(eq, cases.uniform_spin(grid), {}, grid=grid)
     for key, arr in res.items():
         assert np.abs(arr).max() == 0, (eq, key)
 
@@ -193,9 +181,10 @@ def test_mix_at_isotropic_point_matches_ishimori():
     S = np.stack([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
                   np.cos(th)], axis=-1)
     u = cases.random_smooth(grid, rng).real
-    fields = {"spin": solitons.Spin(grid, S, u=u, w=None)}
-    rm = solitons.pde_residual("mix", fields, {"a": -0.5, "b": -0.5})
-    ri = solitons.pde_residual("ishimori", fields, {})
+    fields = {"S": S, "u": u}
+    rm = solitons.pde_residual("mix", fields, {"a": -0.5, "b": -0.5},
+                               grid=grid)
+    ri = solitons.pde_residual("ishimori", fields, {}, grid=grid)
     assert np.abs(rm["u"] + ri["u"]).max() < 1e-12
 
 
@@ -241,8 +230,8 @@ def test_zi_lax_lambda0_identity():
 
 
 def test_mi_lax_uniform_spin():
-    sp = cases.uniform_spin(_grid(8))
-    lax = solitons.build_lax("mi", {"spin": sp})
+    grid = _grid(8)
+    lax = solitons.build_lax("mi", cases.uniform_spin(grid), grid=grid)
     A3 = lax["A3"]
     assert np.abs(A3[..., 1, 2] - 1.0).max() == 0
     assert np.abs(A3[..., 2, 1] + 1.0).max() == 0
@@ -389,14 +378,16 @@ def test_build_lax_bare_arrays_need_a_grid():
         solitons.build_lax("zi", {"q": z, "p": z, "v": z})
 
 
-@pytest.mark.parametrize("fields,params", [({"r2": 0}, {}), ({}, {"r2": 5})])
+@pytest.mark.parametrize("fields,params", [({"r2": 1}, {"r2": 0}),
+                                           ({}, {"r2": 5})])
 def test_mi_r2_outside_the_two_signs_is_domain_error(fields, params):
-    # the Lax builder and the residual refuse the same signature sign
-    sp = cases.uniform_spin(_grid(6))
-    f = {"S": sp.S, "u": sp.u, **fields}
+    # the Lax builder and the residual refuse the same signature sign, and
+    # a valid r2 among the fields does not stand in for it
+    grid = _grid(6)
+    f = {**cases.uniform_spin(grid), **fields}
     for build in (solitons.build_lax, solitons.pde_residual):
         with pytest.raises(DomainError, match="r2 must be"):
-            build("mi", f, params, grid=sp.grid)
+            build("mi", f, params, grid=grid)
 
 
 # --- commutation defects ------------------------------------------------------
@@ -745,7 +736,7 @@ def test_amplitude_phase_unknown_equation():
     ("alpha", lambda g, z: solitons.mix_coefficient_ops(
         z, {"alpha_re": 0.0}, g)),
     ("alpha", lambda g, z: solitons.pde_residual(
-        "mix", {"spin": cases.uniform_spin(g)}, {"alpha_re": 0.0})),
+        "mix", cases.uniform_spin(g), {"alpha_re": 0.0}, grid=g)),
     ("alpha", lambda g, z: solitons.map_spin_coeffs(
         "ishimori", z + 1, z, z, {"alpha_re": 0.0}, g)),
     ("b", lambda g, z: solitons.amplitude_phase(
