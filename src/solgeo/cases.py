@@ -66,23 +66,10 @@ def planewave(eq: str, k: float = 1.0, l: float = 2.0, v0: float = 1.0,
     if omega is not None:
         w = omega
     q = Wave.exp(amp, x=k, y=l, t=-w)
-    p = q.conj()
-    v = Wave.const(v0)
-    fields = {"q": q, "p": p, "v": v}
-
-    def fq(x, y, t):
-        return amp * np.exp(1j * (k * x + l * y - w * t)) * np.ones_like(
-            np.asarray(x, dtype=float))
-
-    def fp(x, y, t):
-        return np.conj(fq(x, y, t))
-
-    def fv(x, y, t):
-        return v0 * np.ones_like(np.asarray(x, dtype=float))
-
-    fields["callables"] = {"q": fq, "p": fp, "v": fv}
-    fields["params"] = {**params, "k": k, "l": l, "v0": v0, "omega": w}
-    return fields
+    fields = {"q": q, "p": q.conj(), "v": Wave.const(v0)}
+    # a Wave is also the callable f(x, y, t) that the Lax sweeps sample
+    return {**fields, "callables": fields,
+            "params": {**params, "k": k, "l": l, "v0": v0, "omega": w}}
 
 
 def default_grid_xyt(n: int = 24) -> sg.GridSpec:

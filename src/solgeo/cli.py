@@ -144,7 +144,7 @@ def _check_reduction(args):
     if args.seed < 0:
         raise DomainError(f"--seed must be non-negative, got {args.seed}")
     rng = np.random.default_rng(args.seed)
-    grid = cases.default_grid_xyt(12)
+    grid = cases.default_grid_xyt(args.n)
     q = cases.random_smooth(grid, rng)
     p = cases.random_smooth(grid, rng)
     v = cases.random_smooth(grid, rng)
@@ -198,22 +198,33 @@ def cmd_check(args):
     if args.tol is not None and not 0.0 <= args.tol < math.inf:
         raise DomainError("--tol must be finite and non-negative, "
                           f"got {args.tol}")
-    if args.perturb and args.kind != "lax":
-        # only the lax check has a negative control to run
-        raise DomainError("--perturb applies to --kind lax only")
+    if not math.isfinite(args.omega_scale):
+        raise DomainError(f"--omega-scale must be finite, got "
+                          f"{args.omega_scale}")
     if args.kind == "lambda":
-        return _check_lambda(args)
-    if args.kind == "lax":
-        return _check_lax(args)
-    if args.system:
+        run = _check_lambda
+    elif args.kind == "lax":
+        run = _check_lax
+    elif args.system:
         if args.case != "pure-gauge":
             raise DomainError("system checks support the pure-gauge case")
-        return _check_pure_gauge(args)
-    if args.eq in ("ds", "zi", "strachan") and args.case.startswith("planewave"):
-        return _check_planewave(args)
-    if args.eq == "m3q":
-        return _check_reduction(args)
-    raise DomainError(f"unsupported check: eq={args.eq!r} case={args.case!r}")
+        run = _check_pure_gauge
+    elif (args.eq in ("ds", "zi", "strachan")
+          and args.case.startswith("planewave")):
+        run = _check_planewave
+    elif args.eq == "m3q":
+        run = _check_reduction
+    else:
+        raise DomainError(f"unsupported check: eq={args.eq!r} "
+                          f"case={args.case!r}")
+    # a flag the chosen check never applies would only be recorded in its
+    # config: only the lax check has a negative control to run, and only
+    # the plane-wave check a frequency to scale
+    if args.perturb and run is not _check_lax:
+        raise DomainError("--perturb applies to --kind lax only")
+    if args.omega_scale != 1.0 and run is not _check_planewave:
+        raise DomainError("--omega-scale applies to plane-wave checks only")
+    return run(args)
 
 
 # --- surface subcommand -------------------------------------------------------

@@ -191,11 +191,13 @@ def antider_x_data(data: np.ndarray, grid: GridSpec) -> np.ndarray:
 # --- serialization -----------------------------------------------------------
 
 _MAGIC = "solgeo-field-v1"
+# the payload's dtype per header "value"
+_PAYLOAD = {"real": "<f8", "complex": "<c16"}
 
 
 def save_field(path, field):
     """Binary field format: one JSON header line, then a raw little-endian
-    float64 payload (re/im interleaved for complex data)."""
+    float64 payload, or complex128 (re/im pairs) for complex data."""
     if isinstance(field, AxialField):
         raise DomainError("save an axial field as MatrixField(liealg.hat)")
     data = np.ascontiguousarray(field.data)
@@ -210,17 +212,12 @@ def save_field(path, field):
         ],
         "value": "complex" if np.iscomplexobj(data) else "real",
     }
+    dtype = _PAYLOAD[header["value"]]
     if kind == "matrix":
         header["mshape"] = list(data.shape[-2:])
     with open(path, "wb") as fh:
         fh.write((json.dumps(header, sort_keys=True) + "\n").encode())
-        if np.iscomplexobj(data):
-            inter = np.empty(data.shape + (2,))
-            inter[..., 0] = data.real
-            inter[..., 1] = data.imag
-            fh.write(inter.astype("<f8").tobytes())
-        else:
-            fh.write(data.astype("<f8").tobytes())
+        fh.write(data.astype(dtype, copy=False).tobytes())
 
 
 def load_field(path):
@@ -235,12 +232,7 @@ def load_field(path):
         shape = grid.shape
         if header["kind"] == "matrix":
             shape = shape + tuple(header["mshape"])
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-        if header["value"] == "complex":
-            raw = raw.reshape(shape + (2,))
-            data = raw[..., 0] + 1j * raw[..., 1]
-        else:
-            data = raw.reshape(shape)
+        data = np.fromfile(fh, dtype=_PAYLOAD[header["value"]]).reshape(shape)
     if header["kind"] == "matrix":
         return MatrixField(grid, data)
     return ScalarField(grid, data)

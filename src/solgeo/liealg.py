@@ -38,7 +38,7 @@ class CoeffTriple:
     role: str = ROLE_X
 
     def __post_init__(self):
-        if not all(np.isfinite([self.c1, self.c2, self.c3])):
+        if not all(map(math.isfinite, (self.c1, self.c2, self.c3))):
             raise DomainError("coefficient triple must be finite")
         if self.role not in (ROLE_X, ROLE_Y, ROLE_T):
             raise DomainError(f"unknown role {self.role!r}")

@@ -30,34 +30,11 @@ def _nonzero(value, name):
     return value
 
 
-# --- derivative backends -----------------------------------------------------
+# --- derivatives: d(f, axis) ------------------------------------------------
 
-class FDOps:
-    """Finite-difference derivatives on sampled arrays."""
-
-    def __init__(self, grid: sg.GridSpec):
-        self.grid = grid
-
-    def d(self, f, axis):
-        return sg.partial_data(np.asarray(f), self.grid, axis)
-
-    def finalize(self, f):
-        return np.asarray(f)
-
-
-class WaveOps:
-    """Exact derivatives on plane-wave fields; residuals sampled at the end."""
-
-    def __init__(self, grid: sg.GridSpec):
-        self.grid = grid
-
-    def d(self, f, axis):
-        return f.d(axis)
-
-    def finalize(self, f):
-        if isinstance(f, Wave):
-            return f.sample(self.grid)
-        return np.asarray(f)
+def _fd(grid):
+    """The finite-difference derivative d(f, axis) of arrays on grid."""
+    return lambda f, axis: sg.partial_data(np.asarray(f), grid, axis)
 
 
 class SpectralOps:
@@ -107,34 +84,21 @@ class SpectralOps:
             w[..., ax.n // 2] = np.cos(k[ax.n // 2] * s[..., 0])
         return np.tensordot(w, np.fft.fft(f, axis=i) / ax.n, axes=(-1, i))
 
-    def finalize(self, f):
-        return np.asarray(f)
 
-
-def _ops(grid, mode):
-    if mode == "fd":
-        return FDOps(grid)
-    if mode == "analytic":
-        return WaveOps(grid)
-    raise DomainError(f"unknown mode {mode!r}")
-
-
-def _m1_op(ops, f, alpha, a, b):
+def _m1_op(d, f, alpha, a, b):
     """M1 f = alpha^2 f_yy + 4 alpha (b - a) f_xy + 4 (a^2 - 2ab - b) f_xx,
-    with the derivatives of the backend ops."""
-    dx = lambda g: ops.d(g, "x")
-    dy = lambda g: ops.d(g, "y")
-    return (alpha**2 * dy(dy(f)) + 4 * alpha * (b - a) * dy(dx(f))
-            + 4 * (a * a - 2 * a * b - b) * dx(dx(f)))
+    with the derivative d(f, axis)."""
+    return (alpha**2 * d(d(f, "y"), "y")
+            + 4 * alpha * (b - a) * d(d(f, "x"), "y")
+            + 4 * (a * a - 2 * a * b - b) * d(d(f, "x"), "x"))
 
 
-def _m2_op(ops, f, alpha, a, b):
+def _m2_op(d, f, alpha, a, b):
     """M2 f = alpha^2 f_yy - 2 alpha (2a + 1) f_xy + 4 a (a + 1) f_xx; the
     isotropic (Ishimori) operator is M2 at a = b = -1/2."""
-    dx = lambda g: ops.d(g, "x")
-    dy = lambda g: ops.d(g, "y")
-    return (alpha**2 * dy(dy(f)) - 2 * alpha * (2 * a + 1) * dy(dx(f))
-            + 4 * a * (a + 1) * dx(dx(f)))
+    return (alpha**2 * d(d(f, "y"), "y")
+            - 2 * alpha * (2 * a + 1) * d(d(f, "x"), "y")
+            + 4 * a * (a + 1) * d(d(f, "x"), "x"))
 
 
 # --- spin helpers (FD only) --------------------------------------------------
@@ -151,81 +115,90 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
 
     In "fd" mode the fields are sampled arrays on `grid`; in "analytic"
     mode the scalar fields are Wave objects and derivatives are exact, so
-    a residual reflects transcription alone.  The mi signature sign is
-    params["r2"] (default +1).
+    a residual reflects transcription alone, and it is sampled on `grid`
+    once, at the end.  The mi signature sign is params["r2"] (default +1).
     """
     params = params or {}
     if grid is None:
         raise DomainError("grid required")
-    ops = _ops(grid, mode)
-    d = ops.d
+    if mode == "fd":
+        d = _fd(grid)
+    elif mode == "analytic":
+        d = Wave.d
+    else:
+        raise DomainError(f"unknown mode {mode!r}")
     alpha = get_alpha(params)
 
     if eq == "ds":
         q, p, v = fields["q"], fields["p"], fields["v"]
-        r1 = 1j * d(q, "t") + d(d(q, "x"), "x") + alpha**2 * d(d(q, "y"), "y") + v * q
-        r2 = -1j * d(p, "t") + d(d(p, "x"), "x") + alpha**2 * d(d(p, "y"), "y") + v * p
         pq = p * q
-        r3 = (d(d(v, "x"), "x") - alpha**2 * d(d(v, "y"), "y")
-              + 2 * (d(d(pq, "x"), "x") + alpha**2 * d(d(pq, "y"), "y")))
-        return {k: ops.finalize(r) for k, r in
-                zip(("q", "p", "v"), (r1, r2, r3))}
-
-    if eq == "zi":
+        res = {
+            "q": (1j * d(q, "t") + d(d(q, "x"), "x")
+                  + alpha**2 * d(d(q, "y"), "y") + v * q),
+            "p": (-1j * d(p, "t") + d(d(p, "x"), "x")
+                  + alpha**2 * d(d(p, "y"), "y") + v * p),
+            "v": (d(d(v, "x"), "x") - alpha**2 * d(d(v, "y"), "y")
+                  + 2 * (d(d(pq, "x"), "x") + alpha**2 * d(d(pq, "y"), "y"))),
+        }
+    elif eq == "zi":
         q, p, v = fields["q"], fields["p"], fields["v"]
-        r1 = 1j * d(q, "t") - d(d(q, "x"), "y") - v * q
-        r2 = -1j * d(p, "t") - d(d(p, "x"), "y") - v * p
-        r3 = d(v, "x") - 2 * d(p * q, "y")
-        return {k: ops.finalize(r) for k, r in
-                zip(("q", "p", "v"), (r1, r2, r3))}
-
-    if eq in ("strachan", "m3q"):
+        res = {"q": 1j * d(q, "t") - d(d(q, "x"), "y") - v * q,
+               "p": -1j * d(p, "t") - d(d(p, "x"), "y") - v * p,
+               "v": d(v, "x") - 2 * d(p * q, "y")}
+    elif eq in ("strachan", "m3q"):
         q, p, v = fields["q"], fields["p"], fields["v"]
         c = params.get("c", 1.0)
         dd = 0.0 if eq == "strachan" else params.get("d", 0.0)
         vq = v * q
-        r1 = 1j * d(q, "t") - d(d(q, "x"), "y") + 2j * c * d(vq, "x") - dd**2 * vq
-        r2 = (-1j * d(p, "t") - d(d(p, "x"), "y") - 2j * c * d(vq, "x")
-              - dd**2 * v * p)
-        r3 = d(v, "x") - 2 * d(p * q, "y")
-        return {k: ops.finalize(r) for k, r in
-                zip(("q", "p", "v"), (r1, r2, r3))}
-
-    if eq == "mkdv_c":
+        res = {
+            "q": (1j * d(q, "t") - d(d(q, "x"), "y") + 2j * c * d(vq, "x")
+                  - dd**2 * vq),
+            "p": (-1j * d(p, "t") - d(d(p, "x"), "y") - 2j * c * d(vq, "x")
+                  - dd**2 * v * p),
+            "v": d(v, "x") - 2 * d(p * q, "y"),
+        }
+    elif eq == "mkdv_c":
         q, p, v1, v2 = fields["q"], fields["p"], fields["v1"], fields["v2"]
-        r1 = d(q, "t") + d(d(d(q, "x"), "x"), "y") - d(q * v1, "x") - v2 * q
-        r2 = d(p, "t") + d(d(d(p, "x"), "x"), "y") - d(p * v1, "x") - v2 * p
-        r3 = d(v1, "x") - 2 * d(p * q, "y")
-        r4 = d(v2, "x") - 2 * (p * d(d(q, "x"), "y") - d(d(p, "x"), "y") * q)
-        return {k: ops.finalize(r) for k, r in
-                zip(("q", "p", "v1", "v2"), (r1, r2, r3, r4))}
-
-    if eq == "mkdv_r":
+        res = {
+            "q": (d(q, "t") + d(d(d(q, "x"), "x"), "y") - d(q * v1, "x")
+                  - v2 * q),
+            "p": (d(p, "t") + d(d(d(p, "x"), "x"), "y") - d(p * v1, "x")
+                  - v2 * p),
+            "v1": d(v1, "x") - 2 * d(p * q, "y"),
+            "v2": d(v2, "x") - 2 * (p * d(d(q, "x"), "y")
+                                    - d(d(p, "x"), "y") * q),
+        }
+    elif eq == "mkdv_r":
         q, v1 = fields["q"], fields["v1"]
         beta = params.get("beta", 1)
-        r1 = d(q, "t") + d(d(d(q, "x"), "x"), "y") - d(q * v1, "x")
-        r2 = d(v1, "x") - 2 * beta * d(q * q, "y")
-        return {k: ops.finalize(r) for k, r in zip(("q", "v1"), (r1, r2))}
-
-    if eq == "zii":
+        res = {"q": d(q, "t") + d(d(d(q, "x"), "x"), "y") - d(q * v1, "x"),
+               "v1": d(v1, "x") - 2 * beta * d(q * q, "y")}
+    elif eq == "zii":
         q, p, v = fields["q"], fields["p"], fields["v"]
         a = params.get("a", -0.5)
         b = params.get("b", -0.5)
         variant = params.get("zii_sign_variant", "printed")
-        m1q = _m1_op(ops, q, alpha, a, b)
-        m1p = _m1_op(ops, p, alpha, a, b)
-        r1 = 1j * d(q, "t") + m1q + v * q
+        m1q = _m1_op(d, q, alpha, a, b)
+        m1p = _m1_op(d, p, alpha, a, b)
         if variant == "printed":
             r2 = 1j * d(p, "t") - m1p - v * p
         else:  # the limit form with the opposite overall sign
             r2 = -1j * d(p, "t") + m1p + v * p
-        r3 = _m2_op(ops, v, alpha, a, b) + 2 * _m1_op(ops, p * q, alpha, a, b)
-        return {k: ops.finalize(r) for k, r in
-                zip(("q", "p", "v"), (r1, r2, r3))}
-
-    # spin systems: FD only, and the only residuals here that call liealg
-    if mode != "fd":
+        res = {"q": 1j * d(q, "t") + m1q + v * q, "p": r2,
+               "v": (_m2_op(d, v, alpha, a, b)
+                     + 2 * _m1_op(d, p * q, alpha, a, b))}
+    elif mode != "fd":
         raise DomainError(f"{eq}: analytic mode not supported")
+    else:
+        return _spin_residual(eq, fields, params, grid, d, alpha)
+    if mode == "analytic":
+        return {k: r.sample(grid) for k, r in res.items()}
+    return res
+
+
+def _spin_residual(eq, fields, params, grid, d, alpha):
+    """pde_residual of the spin systems, FD only: the only residuals here
+    that call liealg."""
     from solgeo import liealg
 
     if eq == "ishimori":
@@ -246,11 +219,11 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
         coeffs = mix_coefficient_ops(u, params, grid)
         A1, A2 = coeffs["A1"], coeffs["A2"]
         Sx, Sy, St = d(S, "x"), d(S, "y"), d(S, "t")
-        m1S = np.stack([_m1_op(ops, S[..., i], alpha, a, b)
+        m1S = np.stack([_m1_op(d, S[..., i], alpha, a, b)
                         for i in range(3)], axis=-1)
         r1 = (St - liealg.cross(S, m1S) - A2[..., None] * Sx
               - A1[..., None] * Sy)
-        r2 = (_m2_op(ops, u, alpha, a, b)
+        r2 = (_m2_op(d, u, alpha, a, b)
               - 2 * alpha**2 * _dot(S, liealg.cross(Sx, Sy)))
         return {"S": r1, "u": r2}
 
@@ -285,9 +258,9 @@ ZI_A3 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
 
 
 def build_lax(eq: str, fields: dict, params: dict | None = None,
-              grid=None, ops=None) -> dict:
-    """Lax matrices exactly as printed, with the derivatives of the backend
-    ops on the grid (default FDOps).
+              grid=None, d=None) -> dict:
+    """Lax matrices exactly as printed, with the derivative d(f, axis) on
+    the grid (default finite differences).
 
     zi -> {A1, A2, A3}; mi -> {A3, A4} with the sign params["r2"];
     zii -> {B0, B1, C0, C1, C2} with the diagonal C0 entries obtained by
@@ -298,8 +271,7 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
     params = params or {}
     if grid is None:
         raise DomainError("grid required")
-    ops = ops or FDOps(grid)
-    d = ops.d
+    d = d or _fd(grid)
 
     if eq == "zi":
         q, p = (np.asarray(fields[k], dtype=complex) for k in ("q", "p"))
@@ -404,22 +376,6 @@ def _solve_first_order(pq, grid, cx, cy, rx, ry):
 
 # --- commutation defect for the linear problems ------------------------------
 
-def _rk4(f, y, s, ds, nsteps):
-    for step in range(nsteps):
-        k1 = f(s, y)
-        k2 = f(s + ds / 2, y + ds / 2 * k1)
-        k3 = f(s + ds / 2, y + ds / 2 * k2)
-        k4 = f(s + ds, y + ds * k3)
-        y = y + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        s = s + ds
-        norm = np.abs(y).max()
-        if not norm <= 1e6:  # a NaN norm fails too
-            raise NumericalError(
-                f"linear-problem evolution blew up at step {step} of "
-                f"{nsteps}: max |g| = {norm:.3e} > 1e6")
-    return y
-
-
 # the (first, second) extents of the cell that both sweep orders cross
 LAX_CELL = (0.2, 0.2)
 
@@ -448,10 +404,22 @@ def _sample(fields, names, grid, fixed):
 
 def _sweep(rhs, g, span, substeps):
     """RK4 over [0, span] in substeps steps, where rhs(j, g) is the
-    right-hand side at stage coordinate j * span / (2 substeps)."""
+    right-hand side at stage coordinate j * span / (2 substeps); the state
+    is checked for blow-up after every step."""
     ds = span / substeps
-    return _rk4(lambda s, gg: rhs(round(2 * s / ds), gg), g, 0.0, ds,
-                substeps)
+    for step in range(substeps):
+        j = 2 * step
+        k1 = rhs(j, g)
+        k2 = rhs(j + 1, g + ds / 2 * k1)
+        k3 = rhs(j + 1, g + ds / 2 * k2)
+        k4 = rhs(j + 2, g + ds * k3)
+        g = g + ds / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        norm = np.abs(g).max()
+        if not norm <= 1e6:  # a NaN norm fails too
+            raise NumericalError(
+                f"linear-problem evolution blew up at step {step} of "
+                f"{substeps}: max |g| = {norm:.3e} > 1e6")
+    return g
 
 
 def lax_commutation_defect(eq: str, fields: dict, params: dict,
@@ -497,7 +465,7 @@ def _zi_defect(fields, params, n_line, substeps):
         grid = sg.GridSpec.make(_stage_axis(axis, span[axis], substeps), line)
         g = np.stack([make(build_lax(
             "zi", _sample(fields, ("q", "p", "v"), grid, {other: c}),
-            grid=grid, ops=SpectralOps(grid))) for c in (0.0, span[other])],
+            grid=grid, d=SpectralOps(grid).d)) for c in (0.0, span[other])],
             axis=2)
         return np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
 
@@ -523,7 +491,7 @@ def _zii_defect(fields, params, n_line, substeps):
                             _periodic_line("y", n_line))
     spec = SpectralOps(cell)
     lax = build_lax("zii", _sample(fields, ("q", "p"), cell, {}), params,
-                    grid=cell, ops=spec)
+                    grid=cell, d=spec.d)
     # B1 and C2 are constant: one matrix per line node
     B1, C2 = lax["B1"][0, :, 0], lax["C2"][0, :, 0]
     # B0 at (y stage, t stage), read at the two t ends of the cell
@@ -571,7 +539,7 @@ def mix_coefficient_ops(u: np.ndarray, params: dict,
     alpha = _nonzero(get_alpha(params), "alpha (alpha_re + i alpha_im)")
     a = params.get("a", -0.5)
     b = params.get("b", -0.5)
-    d = FDOps(grid).d
+    d = _fd(grid)
     ux, uy = d(u, "x"), d(u, "y")
     A1 = 1j * (alpha * (2 * b + 1) * uy - 2 * (2 * a * b + a + b) * ux)
     A2 = 1j * (4 * alpha**-1 * (2 * a * a * b + a * a + 2 * a * b + b) * ux
@@ -594,9 +562,8 @@ def map_spin_coeffs(eq: str, k: np.ndarray, tau: np.ndarray, u: np.ndarray,
     else:
         a = params.get("a", -0.5)
         b = params.get("b", -0.5)
-    ops = FDOps(grid)
-    d = ops.d
-    m2u = _m2_op(ops, u, alpha, a, b)
+    d = _fd(grid)
+    m2u = _m2_op(d, u, alpha, a, b)
     kmask = np.abs(k) < 1e-12
     if kmask.mean() > 0.10:
         raise DomainError("zero-curvature set exceeds the 10% mask budget")
@@ -642,7 +609,7 @@ def amplitude_phase(eq: str, k, tau, m1, m2, m3, params: dict,
     alpha = get_alpha(params)
     aR, aI = alpha.real, alpha.imag
     mod2 = abs(alpha) ** 2
-    d = FDOps(grid).d
+    d = _fd(grid)
     ky, kx, m3x = d(k, "y"), d(k, "x"), d(m3, "x")
 
     if eq == "ishimori":

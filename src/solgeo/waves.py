@@ -1,7 +1,9 @@
 """Closed-form plane-wave fields: finite sums of complex exponentials
 amp * exp(i * sum_a k_a * coord_a), closed under the arithmetic and the
 derivatives the residual evaluators need.  Used for the analytic-derivative
-mode, where residual checks must be free of discretization error."""
+mode, where residual checks must be free of discretization error.  A wave
+is also a callable f(x, y, t), the form the Lax commutation sweeps sample,
+so both oracles of a plane-wave case evaluate the same object."""
 
 from __future__ import annotations
 
@@ -78,16 +80,22 @@ class Wave:
         return Wave({tuple((ax, -c) for ax, c in k): np.conj(a)
                      for k, a in self.terms.items()})
 
-    def sample(self, grid) -> np.ndarray:
-        """Values on a grid.  Each term is a product of 1-D factors
-        exp(i c_a x_a) on the sparse axis coordinates, which costs one
-        full-grid product per term instead of a full-grid exp; the
-        conjugate of a wave samples to the exact conjugate."""
-        coords = dict(zip(grid.names, grid.meshes(sparse=True)))
-        out = np.zeros(grid.shape, dtype=complex)
+    def __call__(self, x, y, t):
+        """Values at coordinates that broadcast together.  Each term is a
+        product of factors exp(i c_a x_a), one per axis, so on sparse
+        meshes it costs one full-grid product per term instead of a
+        full-grid exp; the conjugate of a wave evaluates to the exact
+        conjugate."""
+        coords = {"x": x, "y": y, "t": t}
+        out = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y),
+                                           np.shape(t)), dtype=complex)
         for k, a in self.terms.items():
             term = a
             for ax, c in k:
                 term = term * np.exp(1j * (c * coords[ax]))
             out += term
         return out
+
+    def sample(self, grid) -> np.ndarray:
+        """Values on an (x, y, t) grid, from its sparse meshes."""
+        return self(**dict(zip(grid.names, grid.meshes(sparse=True))))

@@ -60,7 +60,7 @@ def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
 
     if system == "mlxx3d":
         _check_conn(conn, ("B", "D"))
-        b = params["b"]
+        b, = _finite_params(params, ("b",))
         return {"r": -b * d("B", "xi4") + d("B", "xi2") - d("D", "xi1") + c("B", "D")}
 
     if system == "sdym3d":
@@ -99,8 +99,7 @@ def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
 
     if system == "mlxx4d_scalar":
         _check_conn(conn, ("B", "D"))
-        a = params["a"]
-        b = params["b"]
+        a, b = _finite_params(params, ("a", "b"))
         return {
             "r": a * d("D", "xi3") - b * d("B", "xi4") + d("B", "xi2")
                  - d("D", "xi1") + c("B", "D")
@@ -277,21 +276,20 @@ def _coord(g: sg.GridSpec, name: str):
     return 0.0
 
 
-def _lambda_params(params: dict, names, optional=()) -> list:
+def _finite_params(params: dict, names, optional=()) -> list:
     """The named parameters as given, optional ones defaulting to 0.0; a
     missing or non-finite one is a DomainError naming it."""
     out = []
     for k in names:
         if k not in params and k not in optional:
-            raise DomainError(f"lambda parameter {k!r} is missing")
+            raise DomainError(f"parameter {k!r} is missing")
         v = params.get(k, 0.0)
         try:
             finite = bool(np.isfinite(v))
         except (TypeError, ValueError):
             finite = False
         if not finite:
-            raise DomainError(f"lambda parameter {k!r} must be finite, "
-                              f"got {v!r}")
+            raise DomainError(f"parameter {k!r} must be finite, got {v!r}")
         out.append(v)
     return out
 
@@ -316,13 +314,13 @@ def lambda_field(kind: str, params: dict, g: sg.GridSpec) -> SpectralField:
                           f"{periodic}")
     hmax = max(a.h for a in g.axes)
     if kind == "sdym_xi":
-        n1, n3, n4, m1 = _lambda_params(params, ("n1", "n3", "n4", "m1"),
+        n1, n3, n4, m1 = _finite_params(params, ("n1", "n3", "n4", "m1"),
                                         optional=("m1",))
         num = n1 * _coord(g, "xi3") + n3 + m1 * _coord(g, "xi4")
         den = n4 - n1 * _coord(g, "xi1") - m1 * _coord(g, "xi2")
         grad_bound = abs(n1) + abs(m1)
     elif kind == "mlxii_complex":
-        a1, a2, a3, a4 = _lambda_params(params, ("a1", "a2", "a3", "a4"))
+        a1, a2, a3, a4 = _finite_params(params, ("a1", "a2", "a3", "a4"))
         z = _coord(g, "xi1")
         t = _coord(g, "t")
         x = _coord(g, "x")

@@ -95,6 +95,24 @@ def test_check_reductions(tmp_path):
         assert load_report(rp)["passed"] is True
 
 
+@pytest.mark.parametrize("case", ["strachan-reduction", "zi-reduction"])
+def test_check_reduction_uses_grid_size(case, tmp_path, monkeypatch):
+    # the report records n, so the fields must be drawn on the n^3 grid;
+    # the reductions are identities, exact at any size
+    sizes = []
+    real_grid = cases.default_grid_xyt
+    monkeypatch.setattr(cases, "default_grid_xyt",
+                        lambda n: sizes.append(n) or real_grid(n))
+    for n in (12, 16):
+        rp = tmp_path / f"{n}.json"
+        assert run(["check", "--eq", "m3q", "--case", case, "--n", str(n),
+                    "--report", str(rp)]) == 0
+        rep = load_report(rp)
+        assert rep["config"]["n"] == n
+        assert all(c["max"] == 0.0 for c in rep["checks"])
+    assert sizes == [12, 16]
+
+
 def test_check_lax(tmp_path):
     rp = tmp_path / "r.json"
     assert run(["check", "--kind", "lax", "--refine", "2", "--perturb",
@@ -138,6 +156,37 @@ def test_perturb_outside_lax_is_usage_error(argv, via, tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert captured.err.startswith("solgeo:") and "--perturb" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--eq", "m3q", "--case", "zi-reduction"],
+    ["check", "--system", "mlxii", "--case", "pure-gauge", "--n", "8",
+     "--refine", "2"],
+    ["check", "--kind", "lambda", "--n", "8", "--refine", "2"],
+    ["check", "--kind", "lax", "--refine", "2"],
+])
+def test_omega_scale_outside_planewave_is_usage_error(argv, capsys):
+    # only the plane-wave check has a frequency to scale; elsewhere the
+    # flag was recorded in the config and never applied
+    assert run(argv + ["--omega-scale", "1.1"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.startswith("solgeo:")
+    assert "--omega-scale" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
+def test_nonfinite_omega_scale_is_usage_error(scale, tmp_path, capsys):
+    # a nan frequency made every residual nan: exit 1 and a report with
+    # NaN in it, which is not strict JSON
+    rp = tmp_path / "r.json"
+    assert run(["check", "--eq", "zi", "--case", "planewave-zi",
+                f"--omega-scale={scale}", "--report", str(rp)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("solgeo:")
+    assert "--omega-scale" in captured.err
+    assert not rp.exists()
 
 
 def test_out_of_memory_is_usage_error(monkeypatch, capsys):
@@ -397,6 +446,7 @@ def test_report_without_gated_check_fails(tmp_path, checks):
     ["surface", "--case", "cylinder", "--n", "1"],
     ["check", "--eq", "zi", "--case", "planewave-zi", "--n", "0"],
     ["check", "--eq", "m3q", "--case", "zi-reduction", "--seed", "-1"],
+    ["check", "--eq", "m3q", "--case", "zi-reduction", "--n", "3"],
     ["check", "--kind", "lax", "--n", "0", "--refine", "2"],
 ])
 def test_degenerate_size_or_seed_is_usage_error(argv, capsys):
@@ -435,6 +485,9 @@ def argv_grammar(draw):
         if draw(st.booleans()):
             argv += ["--tol", draw(st.sampled_from(
                 ["inf", "nan", "-1", "1e-10"]))]
+        if draw(st.booleans()):
+            argv += ["--omega-scale", draw(st.sampled_from(
+                ["1", "1.1", "nan", "inf"]))]
     elif cmd == "surface":
         argv = ["surface", "--case", draw(st.sampled_from(
             ["sphere-patch", "cylinder", "plane", "torus"])),
@@ -476,6 +529,12 @@ def test_any_command_line_keeps_exit_code_contract(tmp_path_factory, argv):
     if "--tol" in argv and argv[argv.index("--tol") + 1] != "1e-10":
         # a tolerance that gates nothing is refused, never reported passed
         assert code == 2, argv
+    if "--omega-scale" in argv:
+        scale = argv[argv.index("--omega-scale") + 1]
+        planewave = "--eq" in argv and argv[argv.index("--eq") + 1] != "m3q"
+        if scale in ("nan", "inf") or (scale != "1" and not planewave):
+            # a scale that is never applied, or that is not finite
+            assert code == 2, argv
 
 
 def test_config_file_merge_and_flag_priority(tmp_path):

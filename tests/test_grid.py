@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,6 +177,26 @@ def test_save_load_roundtrip_scalar(tmp_path):
     assert isinstance(back, sg.ScalarField)
     assert back.grid == g
     assert np.array_equal(back.data, f.data)
+
+
+def test_save_load_roundtrip_complex_specials_bit_exact(tmp_path):
+    # +-0.0, +-inf and nan in both parts: rebuilding re + 1j * im turned
+    # 1 + inf j into nan + inf j and -0.0 + 0j into 0j, with a warning
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5]
+    data = np.array([complex(re, im) for re in specials for im in specials])
+    g = sg.GridSpec.make(sg.Axis("x", data.size, 0.1))
+    p = tmp_path / "c.field"
+    sg.save_field(p, sg.ScalarField(g, data))
+    inter = np.stack([data.real, data.imag], axis=-1).astype("<f8")
+    assert p.read_bytes().split(b"\n", 1)[1] == inter.tobytes()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = sg.load_field(p)
+    assert back.data.dtype == np.complex128 and back.data.flags.writeable
+    assert back.data.tobytes() == data.tobytes()
+    q = tmp_path / "again.field"
+    sg.save_field(q, back)
+    assert q.read_bytes() == p.read_bytes()
 
 
 def test_save_load_roundtrip_matrix(tmp_path):

@@ -36,6 +36,26 @@ def test_planewave_conjugate_samples_bit_exact(eq):
     assert np.array_equal(pw["p"].sample(grid), np.conj(pw["q"].sample(grid)))
 
 
+@pytest.mark.parametrize("eq", ["ds", "zi", "strachan"])
+def test_planewave_callables_are_the_waves(eq):
+    # the Lax oracle and the analytic oracle evaluate one object
+    pw = cases.planewave(eq)
+    for k in ("q", "p", "v"):
+        assert pw["callables"][k] is pw[k]
+
+
+def test_wave_call_on_sparse_meshes_is_sample():
+    from solgeo.waves import Wave
+
+    wave = (Wave.exp(0.7 - 0.2j, x=1.3, y=-0.4, t=2.7)
+            + Wave.exp(-1.1j, y=2.25) + Wave.const(0.3 + 0.5j))
+    grid = _grid(10)
+    x, y, t = grid.meshes(sparse=True)
+    got = wave(x, y, t)
+    assert got.shape == grid.shape
+    assert got.tobytes() == wave.sample(grid).tobytes()
+
+
 def test_wave_sample_matches_direct_phase():
     from solgeo.waves import Wave
 
@@ -423,7 +443,7 @@ def _zi_sequential_defect(fields, params, n_line, substeps):
             solitons._stage_axis(axis, span[axis], substeps), line)
         return solitons.build_lax(
             "zi", solitons._sample(fields, ("q", "p", "v"), grid, fixed),
-            grid=grid, ops=solitons.SpectralOps(grid))
+            grid=grid, d=solitons.SpectralOps(grid).d)
 
     def sweep_x(g, t):
         m = lax("x", {"t": t})
@@ -524,7 +544,7 @@ def _zii_stagewise_defect(params, n, substeps, cell=(0.2, 0.2)):
         lax = solitons.build_lax(
             "zii", {"q": _zii_oracle_q(xm, ym, t),
                     "p": _zii_oracle_p(xm, ym, t)},
-            params, grid=grid, ops=solitons.SpectralOps(grid))
+            params, grid=grid, d=solitons.SpectralOps(grid).d)
         return {key: m[:, 0] for key, m in lax.items()}
 
     def rk4(rhs, g, span):
@@ -574,7 +594,7 @@ def test_nan_evolution_is_numerical_error():
     # the defect came back as nan
     with pytest.raises(NumericalError,
                        match=r"at step 0 of 2: max \|g\| = nan"):
-        solitons._rk4(lambda s, y: np.nan * y, np.ones(2), 0.0, 1.0, 2)
+        solitons._sweep(lambda j, y: np.nan * y, np.ones(2), 2.0, 2)
     nan_q = {"q": lambda x, y, t: np.nan * (x + y + t),
              "p": lambda x, y, t: 0.0 * x, "v": lambda x, y, t: 0.0 * x}
     with pytest.raises(NumericalError, match=r"max \|g\| = nan"):
@@ -582,12 +602,26 @@ def test_nan_evolution_is_numerical_error():
                                         n_line=8, substeps=2)
 
 
+def test_sweep_reads_integer_stage_indices():
+    # step i reads stages 2i, 2i + 1 (twice) and 2i + 2, the indices of
+    # the 2 substeps + 1 coordinates of _stage_axis; y' = y integrates to
+    # the RK4 growth factor per step
+    seen = []
+    got = solitons._sweep(lambda j, y: seen.append(j) or y, np.ones(1),
+                          0.3, 3)
+    assert seen == [0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6]
+    assert all(type(j) is int for j in seen)
+    h = 0.1
+    assert np.isclose(got[0], (1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24) ** 3,
+                      rtol=1e-15)
+
+
 def test_rk4_blow_up_names_step_and_norm():
     # an RK4 step of y' = 10 y with ds = 1 multiplies y by
     # g = 1 + 10 + 50 + 500/3 + 1250/3 = 644.33, so from y = 1 the norm
     # first exceeds 1e6 at step index 2, where it is g^3 = 2.675e8
     with pytest.raises(NumericalError) as exc:
-        solitons._rk4(lambda s, y: 10.0 * y, np.ones(2), 0.0, 1.0, 5)
+        solitons._sweep(lambda j, y: 10.0 * y, np.ones(2), 5.0, 5)
     msg = str(exc.value)
     assert "at step 2 of 5" in msg
     assert f"max |g| = {(1 + 10 + 50 + 500 / 3 + 1250 / 3) ** 3:.3e}" in msg
@@ -608,12 +642,12 @@ def test_m_operators_polynomial_oracle():
                          sg.Axis("y", n, 1.0 / (n - 1)))
     x, y = g.meshes()
     f = x**2 + x * y + y**2
-    ops = solitons.FDOps(g)
+    d = solitons._fd(g)
     alpha, a, b = 2.0, 0.3, -0.7
-    m1 = solitons._m1_op(ops, f, alpha, a, b)
+    m1 = solitons._m1_op(d, f, alpha, a, b)
     want1 = alpha**2 * 2 + 4 * alpha * (b - a) * 1 + 4 * (a * a - 2 * a * b - b) * 2
     assert np.abs(m1 - want1).max() < 1e-10
-    m2 = solitons._m2_op(ops, f, alpha, a, b)
+    m2 = solitons._m2_op(d, f, alpha, a, b)
     want2 = alpha**2 * 2 - 2 * alpha * (2 * a + 1) * 1 + 4 * a * (a + 1) * 2
     assert np.abs(m2 - want2).max() < 1e-10
 
@@ -632,7 +666,7 @@ def test_m2_isotropic_special_point():
         "mix", k, tau, f, {"alpha_re": 1.5, "a": -0.5, "b": -0.5}, g)
     assert np.array_equal(ish["m2"], gen["m2"])
     # at a = b = -1/2 the cross and xx terms vanish: M2 = a^2 d_yy - d_xx
-    m2 = solitons._m2_op(solitons.FDOps(g), f, 1.5, -0.5, -0.5)
+    m2 = solitons._m2_op(solitons._fd(g), f, 1.5, -0.5, -0.5)
     direct = (1.5**2 * sg.partial_data(sg.partial_data(f, g, "y"), g, "y")
               - sg.partial_data(sg.partial_data(f, g, "x"), g, "x"))
     assert np.abs(m2 - direct).max() < 1e-12
@@ -666,8 +700,7 @@ def test_map_spin_coeffs_m2_consistency():
     u = _smooth_real(grid, rng)
     params = {"alpha_re": 1.3}
     out = solitons.map_spin_coeffs("ishimori", k, tau, u, params, grid)
-    ops = solitons.FDOps(grid)
-    m2u = solitons._m2_op(ops, u, 1.3, -0.5, -0.5)
+    m2u = solitons._m2_op(solitons._fd(grid), u, 1.3, -0.5, -0.5)
     assert np.abs(out["m2"] + m2u / (2 * 1.3**2 * k)).max() < 1e-12
     assert not out["k_mask"].any()
 

@@ -48,6 +48,18 @@ def test_zero_connection_gives_zero_residual_everywhere():
             assert arr.shape == gg.shape + (3,) and not arr.any(), (system, key)
 
 
+@pytest.mark.parametrize("system, params, name", [
+    ("mlxx3d", None, "b"), ("mlxx3d", {"b": np.nan}, "b"),
+    ("mlxx4d_scalar", {"b": 0.7}, "a"), ("mlxx4d_scalar", {"a": 0.3}, "b"),
+    ("mlxx4d_scalar", {"a": 0.3, "b": np.inf}, "b"),
+])
+def test_missing_or_nonfinite_system_parameter_is_named(system, params, name):
+    # a missing one raised a bare KeyError
+    conn = _zero_conn(_grid4(6), ("B", "D"))
+    with pytest.raises(DomainError, match=f"parameter '{name}'"):
+        zerocurv.zc_residual(system, conn, params)
+
+
 def test_unknown_system_and_missing_fields():
     g = _grid3(6)
     with pytest.raises(DomainError):
