@@ -41,13 +41,10 @@ TOL_ANALYTIC = 1e-10
 RATIO_WINDOW = (3.5, 4.5)
 
 
-def _check_entry(name, norms, tol, extra=None):
-    entry = {"name": name, "max": norms["max"], "l2": norms.get("l2"),
-             "argmax": norms.get("argmax"), "tol": tol,
-             "passed": bool(norms["max"] <= tol)}
-    if extra:
-        entry.update(extra)
-    return entry
+def _check_entry(name, norms, tol):
+    return {"name": name, "max": norms["max"], "l2": norms.get("l2"),
+            "argmax": norms.get("argmax"), "tol": tol,
+            "passed": bool(norms["max"] <= tol)}
 
 
 def _minor_faults():
@@ -282,7 +279,7 @@ def cmd_case(args):
             fh.write("\n")
         written.append(os.path.join(outdir, f"{name}-params.json"))
     elif name == "uniform-spin":
-        grid = cases.default_grid_xyt(12)
+        grid = cases.default_grid_xyt(args.n)
         sp = cases.uniform_spin(grid)
         for i, key in enumerate(("s1", "s2", "s3")):
             put(f"{name}-{key}.field", sg.ScalarField(grid, sp["S"][..., i]))
@@ -294,7 +291,7 @@ def cmd_case(args):
         for key, f in conn.items():
             put(f"{name}-{key}.field", sg.MatrixField(f.grid, liealg.hat(f.data)))
     elif name == "rational-lambda":
-        f = cases.rational_lambda()
+        f = cases.rational_lambda(grid=cases.default_grid_xi(args.n))
         put(f"{name}.field", sg.ScalarField(f.grid, f.lam))
     else:
         from solgeo import frames

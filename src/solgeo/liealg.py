@@ -340,28 +340,18 @@ def expm(gens: np.ndarray) -> np.ndarray:
     """Matrix exponentials of one real generator (3, 3) or of a stack
     (..., 3, 3).
 
-    Each generator with |m + m^T| <= 1e-14 goes through the closed-form
-    axis-angle (Rodrigues) formula, so the result is orthogonal to
-    rounding; all others go through the batched Pade kernel
-    (`_pade_expm`).  Each result depends on its own matrix only.
+    A stack whose every generator has |m + m^T| <= 1e-14 goes through the
+    closed-form axis-angle (Rodrigues) formula, so each result is
+    orthogonal to rounding; any other stack goes whole, skew generators
+    included, through the batched Pade kernel (`_pade_expm`).  Each result
+    depends on its own matrix and on whether its whole stack is skew.
     """
     gens = _real_3x3(gens, "generator")
     if not np.all(np.isfinite(gens)):
         raise DomainError("non-finite generator")
     a = gens.reshape(-1, 3, 3)
-    skew = np.all(np.abs(a + np.swapaxes(a, -1, -2)) <= 1e-14, axis=(-2, -1))
-    if skew.all():
-        out = _rodrigues(a)
-    elif not skew.any():
-        out = _pade_expm(a)
-    else:
-        # the Pade stack first, so its working set and out are never live
-        # together
-        r = _pade_expm(a[~skew])
-        out = np.empty_like(a)
-        out[~skew] = r
-        out[skew] = _rodrigues(a[skew])
-    return out.reshape(gens.shape)
+    skew = np.all(np.abs(a + np.swapaxes(a, -1, -2)) <= 1e-14)
+    return (_rodrigues(a) if skew else _pade_expm(a)).reshape(gens.shape)
 
 
 def transport(gens: np.ndarray, start: np.ndarray) -> np.ndarray:

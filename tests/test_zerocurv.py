@@ -206,6 +206,26 @@ def test_hot_builders_build_no_dense_meshes(monkeypatch):
     assert wave.sample(cases.default_grid_xyt(6)).shape == (6, 6, 6)
 
 
+@pytest.mark.parametrize("system, bound", [("gmce", 2.5), ("mlxii", 4.5)])
+def test_zc_residual_live_set_is_bounded(system, bound):
+    # each line is one expression, so numpy reuses the derivative's buffer
+    # for the difference and the sum: 2.05 and 4.05 stacks here, where a
+    # temporary bound to a name costs one more stack (3.0 and 5.0)
+    axes = ("x", "y") if system == "gmce" else ("x", "y", "t")
+    conn = cases.pure_gauge_connection(cases.default_grid_gauge(33),
+                                       axes=axes)
+    stack = conn["A"].data.nbytes
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        res = zerocurv.zc_residual(system, conn)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert len(res) == len(axes) * (len(axes) - 1) // 2
+    assert peak <= bound * stack, peak / stack
+
+
 def test_perturbed_connection_residual_stalls():
     maxima = []
     for n in (9, 17, 33):
@@ -253,6 +273,125 @@ def test_scalar_pencil_matches_four_potential_residuals():
     assert np.abs(c0 + sd["a"]).max() < 1e-13
     assert np.abs(c1 + sd["c"]).max() < 1e-13
     assert np.abs(c2 + sd["b"]).max() < 1e-13
+
+
+# --- flat connections for the 4D and Bogomolny systems -----------------------
+
+# wave vectors of phi = 0.5 sin(k.xi) + 0.3 cos(k'.xi) and
+# psi = 0.4 cos(m.xi) + 0.2 sin(m'.xi); a 3D grid takes the first three
+# components
+_WAVES = ((1.0, -0.7, 0.5, 0.8), (0.4, 0.9, -0.6, 0.3),
+          (-0.6, 0.5, 0.9, -0.4), (0.8, 0.3, 0.4, 0.7))
+_PHI0 = np.array([0.3, -0.5, 0.8])
+_PENCIL = {"a": 0.6, "b": -0.8}
+_FLAT_LEVELS = (7, 13, 25)
+
+
+def _rotation_field(grid):
+    """Axial potentials A_mu = d_mu R R^-1 = (psi_mu cos phi, psi_mu sin phi,
+    phi_mu), one per axis of grid, of R = Rz(phi) Rx(psi) with the
+    gradients in closed form, and R applied to _PHI0."""
+    xs = grid.meshes(sparse=True)
+    k, k2, m, m2 = _WAVES
+    pk, pk2, pm, pm2 = (sum(c * x for c, x in zip(w, xs)) for w in _WAVES)
+    phi = 0.5 * np.sin(pk) + 0.3 * np.cos(pk2)
+    psi = 0.4 * np.cos(pm) + 0.2 * np.sin(pm2)
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    cos_k, sin_k2 = np.cos(pk), np.sin(pk2)
+    sin_m, cos_m2 = np.sin(pm), np.cos(pm2)
+    pots = []
+    for i in range(len(xs)):
+        dpsi = -0.4 * m[i] * sin_m + 0.2 * m2[i] * cos_m2
+        a = np.empty(grid.shape + (3,))
+        a[..., 0] = dpsi * cos_phi
+        a[..., 1] = dpsi * sin_phi
+        a[..., 2] = 0.5 * k[i] * cos_k - 0.3 * k2[i] * sin_k2
+        pots.append(a)
+    # R phi0 = Rz(phi) (x, cos psi y - sin psi z, sin psi y + cos psi z)
+    u = np.cos(psi) * _PHI0[1] - np.sin(psi) * _PHI0[2]
+    rphi0 = np.empty(grid.shape + (3,))
+    rphi0[..., 0] = cos_phi * _PHI0[0] - sin_phi * u
+    rphi0[..., 1] = sin_phi * _PHI0[0] + cos_phi * u
+    rphi0[..., 2] = np.sin(psi) * _PHI0[1] + np.cos(psi) * _PHI0[2]
+    return pots, rphi0
+
+
+def _flat_fixtures(n, control=None):
+    """{system: (connection, params)} of flat connections at n points per
+    axis.  The 4D systems take A_mu, along commuting directions for the
+    pencils; bogomolny takes the 3D A_mu with the covariantly constant
+    Higgs field Phi = R phi0, and sdym3d, which never differentiates along
+    xi3, the same fields with A3 = R phi0 on the (xi1, xi2, xi4) grid.
+    control "negated" flips every field's sign, "constant" leaves Phi and
+    A3 at the untransported phi0."""
+    h = 1.0 / (n - 1)
+    sign = -1.0 if control == "negated" else 1.0
+    g4 = sg.GridSpec.make(*(sg.Axis(f"xi{i}", n, h) for i in (1, 2, 3, 4)))
+    (a1, a2, a3, a4), _ = _rotation_field(g4)
+    a, b = _PENCIL["a"], _PENCIL["b"]
+    f4 = lambda d: sg.AxialField(g4, sign * d)
+    (ax, ay, at), rphi0 = _rotation_field(sg.GridSpec.make(
+        *(sg.Axis(c, n, h) for c in "xyt")))
+    if control == "constant":
+        rphi0 = np.broadcast_to(_PHI0, rphi0.shape)
+    out = {
+        "sdym4d": ({"A1": f4(a1), "A2": f4(a2), "A3": f4(a3), "A4": f4(a4)},
+                   None),
+        "mlxii4d": ({"A": f4(a1), "B": f4(a2), "C": f4(a3), "D": f4(a4)},
+                    None),
+        "mlxx3d": ({"B": f4(a1), "D": f4(a2 - b * a4)}, {"b": b}),
+        "mlxx4d_scalar": ({"B": f4(a1 - a * a3), "D": f4(a2 - b * a4)},
+                          _PENCIL),
+    }
+    for system, axes, names in (
+            ("bogomolny", "xyt", ("A", "B", "C", "Phi")),
+            ("sdym3d", ("xi1", "xi2", "xi4"), ("A1", "A2", "A4", "A3"))):
+        g = sg.GridSpec.make(*(sg.Axis(c, n, h) for c in axes))
+        fields = (ax, ay, at, rphi0)
+        out[system] = ({k: sg.AxialField(g, sign * d)
+                        for k, d in zip(names, fields)}, None)
+    return out
+
+
+def _worst(system, fixture):
+    conn, params = fixture
+    res = zerocurv.zc_residual(system, conn, params)
+    return max(float(np.abs(r).max()) for r in res.values())
+
+
+@pytest.fixture(scope="module")
+def flat_maxima():
+    # one field set per level, shared by every system
+    maxima = {}
+    for n in _FLAT_LEVELS:
+        for system, fixture in _flat_fixtures(n).items():
+            maxima.setdefault(system, []).append(_worst(system, fixture))
+    return maxima
+
+
+@pytest.mark.parametrize("system", ["sdym4d", "mlxii4d", "mlxx3d",
+                                    "mlxx4d_scalar", "bogomolny", "sdym3d"])
+def test_flat_connection_refines_for_4d_and_bogomolny_systems(flat_maxima,
+                                                              system):
+    # every line is pure second-order discretization error: 7.4e-3,
+    # 1.9e-3, 4.6e-4 for sdym4d (each system reads 3.6e-3 to 8.3e-3 at
+    # n = 7, and its ratios lie in 3.75-4.10)
+    maxima = flat_maxima[system]
+    for coarse, fine in zip(maxima, maxima[1:]):
+        assert RATIO_WINDOW[0] <= coarse / fine <= RATIO_WINDOW[1], maxima
+
+
+@pytest.mark.parametrize("control", ["negated", "constant"])
+def test_flat_connection_controls_stay_order_one(control):
+    # the negated potential has the wrong bracket sign (0.24 to 0.97 at
+    # n = 13), and an untransported constant Phi or A3 has nonzero
+    # brackets with A_mu (0.38, 0.32): both stay order one
+    systems = (("bogomolny", "sdym3d") if control == "constant"
+               else ("sdym4d", "mlxii4d", "mlxx3d", "mlxx4d_scalar",
+                     "bogomolny", "sdym3d"))
+    fixtures = _flat_fixtures(_FLAT_LEVELS[1], control)
+    for system in systems:
+        assert _worst(system, fixtures[system]) > 0.1, system
 
 
 # --- embedding ----------------------------------------------------------------
