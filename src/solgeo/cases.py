@@ -157,8 +157,12 @@ def pure_gauge_defect(system: str, n: int) -> float:
 
     axes = ("x", "y") if system == "gmce" else ("x", "y", "t")
     conn = pure_gauge_connection(default_grid_gauge(n), axes=axes)
-    res = zerocurv.zc_residual(system, conn)
-    return max(float(np.abs(r).max()) for r in res.values())
+    worst = -np.inf
+    for _, r in zerocurv.residual_lines(system, conn):
+        worst = np.maximum(worst, zerocurv.abs_max(r))
+        # a line still bound here would stay live while the next is built
+        del r
+    return float(worst)
 
 
 # --- rational spectral parameter ----------------------------------------------
@@ -193,10 +197,12 @@ def lambda_defect(params: dict, n: int) -> float:
     given parameters on the default n^4 xi-grid."""
     from solgeo import zerocurv
 
-    res = zerocurv.lambda_residual(
-        zerocurv.lambda_field("sdym_xi", params, default_grid_xi(n)))
-    mask = res.pop("mask")
-    return max(zerocurv.masked_norms(r, mask)["max"] for r in res.values())
+    f = zerocurv.lambda_field("sdym_xi", params, default_grid_xi(n))
+    worst = -np.inf
+    for _, r in zerocurv.lambda_lines(f):
+        worst = np.maximum(worst, zerocurv.masked_norms(r, f.mask)["max"])
+        del r
+    return float(worst)
 
 
 # --- classical surfaces -------------------------------------------------------

@@ -47,11 +47,6 @@ def _check_entry(name, norms, tol):
             "passed": bool(norms["max"] <= tol)}
 
 
-def _minor_faults():
-    # page faults served without I/O, mostly fresh zeroed pages for arrays
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
 def _write_report(path, config, checks, seed, timing):
     # a run passes on its gated checks, and only if it has one: a run
     # whose checks are all informational has shown nothing
@@ -442,7 +437,7 @@ def main(argv=None) -> int:
             return 2
 
     t0 = time.perf_counter()
-    faults0 = _minor_faults()
+    faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         if args.command == "check":
             checks = cmd_check(args)
@@ -463,8 +458,12 @@ def main(argv=None) -> int:
     except ConstraintError as exc:
         print(f"solgeo: {exc} (defect {exc.defect})", file=sys.stderr)
         return 1
-    timing = {"wall_s": time.perf_counter() - t0,
-              "minor_faults": _minor_faults() - faults0}
+    wall_s = time.perf_counter() - t0
+    # ru_minflt: page faults served without I/O, mostly fresh zeroed pages
+    # for arrays; ru_maxrss: the process's peak resident size, in KiB
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    timing = {"wall_s": wall_s, "minor_faults": usage.ru_minflt - faults0,
+              "peak_rss_mb": usage.ru_maxrss / 1024.0}
     config = {k: v for k, v in vars(args).items()
               if k not in ("config", "report") and v is not None}
     try:

@@ -61,15 +61,18 @@ _SYSTEMS = {
 }
 
 
-def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
-    """One residual array per printed equation line of the named system.
+def residual_lines(system: str, conn: dict, params: dict | None = None):
+    """Yield (key, line), one residual array per printed equation line of
+    the named system, in `_SYSTEMS` order.
 
     Systems: gmce {A,B}; mlxii {A,B,C}; bogomolny {Phi,A,B,C};
     mlxx3d {B,D} (param b); sdym3d {A1..A4}; mlxii4d {A,B,C,D};
     mlxx4d {A,B,C,D}; mlxx4d_scalar {B,D} (params a, b); sdym4d {A1..A4}.
     All fields are MatrixFields or, except for mlxx4d, all AxialFields,
     bracketed by the cross product into axial residuals.  Each system is
-    one row of `_SYSTEMS`.
+    one row of `_SYSTEMS`.  The generator drops each line once it is
+    yielded, so a consumer that reduces a line and drops it before asking
+    for the next holds one line at a time.
     """
     if system not in _SYSTEMS:
         raise DomainError(f"unknown system id {system!r}")
@@ -101,12 +104,17 @@ def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
         return (deriv(p, dirs[q]) - deriv(q, dirs[p])
                 + bracket(conn[p].data, conn[q].data))
 
-    res = {}
     for key, pairs in lines.items():
-        res[key] = line(*pairs[0])
+        r = line(*pairs[0])
         for p, q in pairs[1:]:
-            res[key] = res[key] + line(p, q)
-    return res
+            r = r + line(p, q)
+        yield key, r
+        del r
+
+
+def zc_residual(system: str, conn: dict, params: dict | None = None) -> dict:
+    """Every line of `residual_lines` at once, as {key: residual array}."""
+    return dict(residual_lines(system, conn, params))
 
 
 # --- self-dual Yang-Mills embedding of the three-matrix system ---------------
@@ -188,7 +196,7 @@ def embedding_identity_defect(A: sg.MatrixField, B: sg.MatrixField,
     t += r["yt"]
     d2 = defect("abar_bbar")
     np.multiply(2j, r["xy"], out=t)
-    return float(max(d1, d2, defect("trace")))
+    return float(np.max([d1, d2, defect("trace")]))
 
 
 # --- curvature and Hodge duality ---------------------------------------------
@@ -243,7 +251,7 @@ def hodge_dual(F: Curvature2Form) -> Curvature2Form:
 def selfdual_defect(F: Curvature2Form) -> float:
     """Max-norm of F - *F over all six components."""
     dual = hodge_dual(F)
-    return float(max(np.abs(F.comps[k] - dual.comps[k]).max() for k in _PAIRS))
+    return float(np.max([abs_max(F.comps[k] - dual.comps[k]) for k in _PAIRS]))
 
 
 # --- spectral-parameter fields -----------------------------------------------
@@ -343,10 +351,9 @@ def lambda_field(kind: str, params: dict, g: sg.GridSpec) -> SpectralField:
     return SpectralField(g, kind, dict(params), lam, mask)
 
 
-def lambda_residual(f: SpectralField) -> dict:
-    """Finite-difference residuals of the defining first-order equations.
-    Returns residual arrays plus a copy of the field's mask, which already
-    covers the stencil reach, under key "mask"."""
+def lambda_lines(f: SpectralField):
+    """Yield (key, line), the finite-difference residuals of the defining
+    first-order equations; sdym_xi computes and drops one line at a time."""
     g = f.grid
 
     def d(name):
@@ -355,21 +362,36 @@ def lambda_residual(f: SpectralField) -> dict:
         return np.zeros_like(f.lam)
 
     if f.kind == "sdym_xi":
-        r1 = d("xi1")
-        r1 -= f.lam * d("xi3")
-        r2 = d("xi2")
-        r2 -= f.lam * d("xi4")
-        res = {"xi13": r1, "xi24": r2}
+        for key, a, b in (("xi13", "xi1", "xi3"), ("xi24", "xi2", "xi4")):
+            r = d(a)
+            r -= f.lam * d(b)
+            yield key, r
+            del r
     else:
         dz, dt, dx, dy = (d(k) for k in ("xi1", "t", "x", "y"))
         beta = dx - 1j * dy
         beta -= f.lam * (dz + 1j * dt)
+        yield "beta", beta
+        del beta
         alpha = dz - 1j * dt
         alpha += f.lam * (dx + 1j * dy)
-        res = {"beta": beta, "alpha": alpha}
+        yield "alpha", alpha
 
+
+def lambda_residual(f: SpectralField) -> dict:
+    """Every line of `lambda_lines` at once, plus a copy of the field's
+    mask, which already covers the stencil reach, under key "mask"."""
+    res = dict(lambda_lines(f))
     res["mask"] = f.mask.copy()
     return res
+
+
+def abs_max(r: np.ndarray):
+    """max |r|, NaN if r holds one.  Real data takes no |r| temporary:
+    negation is exact, and abs only clears the sign of a zero."""
+    if r.dtype.kind != "f":
+        return np.abs(r).max()
+    return abs(np.maximum(r.max(), -r.min()))
 
 
 def masked_norms(res: np.ndarray, mask: np.ndarray) -> dict:
@@ -383,5 +405,5 @@ def masked_norms(res: np.ndarray, mask: np.ndarray) -> dict:
     vals = res[~mask] if masked else res
     if not vals.size:
         raise DomainError("no unmasked points to evaluate")
-    return {"max": float(np.abs(vals).max()),
+    return {"max": float(abs_max(vals)),
             "mask_coverage": masked / mask.size}

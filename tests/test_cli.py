@@ -53,6 +53,9 @@ def test_check_planewave_passes(tmp_path):
     assert "wall_s" in rep["timing"]
     assert isinstance(rep["timing"]["minor_faults"], int)
     assert rep["timing"]["minor_faults"] >= 0
+    assert rep["timing"]["peak_rss_mb"] > 0
+    assert set(rep) == {"version", "config", "seed", "checks", "passed",
+                        "timing"}
 
 
 def test_check_planewave_detuned_fails(tmp_path):
@@ -77,6 +80,27 @@ def test_check_pure_gauge(tmp_path):
     rep = load_report(rp)
     c = rep["checks"][0]
     assert all(3.5 <= r <= 4.5 for r in c["ratios"])
+
+
+def test_check_pure_gauge_fails_on_a_nan_in_a_later_line(tmp_path,
+                                                         monkeypatch):
+    # every third bracket is a yt line's; its NaN must reach the gate
+    from solgeo import zerocurv
+
+    calls = []
+
+    def nan_yt(a, b):
+        out = liealg.cross(a, b)
+        calls.append(1)
+        if len(calls) % 3 == 0:
+            out[0, 0, 0, 0] = np.nan
+        return out
+    monkeypatch.setattr(zerocurv, "cross", nan_yt)
+    rp = tmp_path / "r.json"
+    assert run(["check", "--system", "mlxii", "--case", "pure-gauge",
+                "--n", "8", "--refine", "3", "--report", str(rp)]) == 1
+    rep = load_report(rp)
+    assert rep["passed"] is False and len(calls) == 9
 
 
 def test_check_lambda(tmp_path):

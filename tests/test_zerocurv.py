@@ -226,6 +226,124 @@ def test_zc_residual_live_set_is_bounded(system, bound):
     assert peak <= bound * stack, peak / stack
 
 
+_SYSTEM_PARAMS = {"mlxx3d": {"b": 0.7}, "mlxx4d_scalar": {"a": 0.3, "b": 0.7}}
+
+
+@pytest.mark.parametrize("system", sorted(zerocurv._SYSTEMS))
+def test_zc_residual_is_the_dict_of_its_lines(system):
+    # one path per residual set: the generator's lines, taken one at a
+    # time, are zc_residual's entries bit for bit and in row order
+    names = tuple(zerocurv._SYSTEMS[system][0])
+    g = _grid3(6) if system in ("gmce", "mlxii", "bogomolny") else _grid4(6)
+    conn = cases.random_connection(g, np.random.default_rng(7), names=names)
+    params = _SYSTEM_PARAMS.get(system)
+    res = zerocurv.zc_residual(system, conn, params)
+    lines = [(k, r.copy()) for k, r in
+             zerocurv.residual_lines(system, conn, params)]
+    assert [k for k, _ in lines] == list(zerocurv._SYSTEMS[system][1])
+    assert [k for k, _ in lines] == list(res)
+    for key, r in lines:
+        assert np.abs(r).max() > 0, key
+        assert np.array_equal(r, res[key]), key
+
+
+@pytest.mark.parametrize("kind, params, grid", [
+    ("sdym_xi", cases.LAMBDA_PARAMS[1], _grid4(8)),
+    ("mlxii_complex", {"a1": 0.5, "a2": 0.2, "a3": 0.1, "a4": 1.0},
+     sg.GridSpec.make(*(sg.Axis(a, 8, 0.04) for a in ("x", "y", "t", "xi1")))),
+])
+def test_lambda_residual_is_the_dict_of_its_lines(kind, params, grid):
+    f = zerocurv.lambda_field(kind, params, grid)
+    res = zerocurv.lambda_residual(f)
+    mask = res.pop("mask")
+    assert np.array_equal(mask, f.mask) and mask is not f.mask
+    lines = [(k, r.copy()) for k, r in zerocurv.lambda_lines(f)]
+    assert [k for k, _ in lines] == list(res)
+    for key, r in lines:
+        assert np.abs(r).max() > 0, key
+        assert np.array_equal(r, res[key]), key
+
+
+def _tracemalloc_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        value = fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return value, peak
+
+
+def test_pure_gauge_defect_holds_one_line_at_a_time():
+    # the connection (3 stacks) and one line in flight: 5.10 stacks here,
+    # where all three lines and an |r| temporary held 7.10
+    n = 33
+    stack = n**3 * 3 * 8
+    defect, peak = _tracemalloc_peak(
+        lambda: cases.pure_gauge_defect("mlxii", n))
+    assert 0 < defect < 1e-3
+    assert peak <= 5.2 * stack, peak / stack
+
+
+def test_lambda_defect_holds_one_line_at_a_time():
+    # lam and one line in flight: 3.33 real stacks here, where both lines
+    # and an |r| temporary held 4.32
+    n = 16
+    stack = n**4 * 8
+    defect, peak = _tracemalloc_peak(
+        lambda: cases.lambda_defect(cases.LAMBDA_PARAMS[1], n))
+    assert 0 < defect < 1e-2
+    assert peak <= 3.4 * stack, peak / stack
+
+
+def test_pure_gauge_defect_keeps_a_nan_in_a_later_line(monkeypatch):
+    # the third bracket is the yt line's: a worst-of fold by Python's max
+    # kept the first line's max against it
+    calls = []
+
+    def nan_yt(a, b):
+        out = liealg.cross(a, b)
+        calls.append(1)
+        if len(calls) == 3:
+            out[0, 0, 0, 0] = np.nan
+        return out
+    monkeypatch.setattr(zerocurv, "cross", nan_yt)
+    assert np.isnan(cases.pure_gauge_defect("mlxii", 9))
+
+
+def test_lambda_defect_keeps_a_nan_in_a_later_line(monkeypatch):
+    # d/dxi4 enters the xi24 line alone
+    partial = sg.partial_data
+
+    def nan_xi4(f, g, axis):
+        out = partial(f, g, axis)
+        if axis == "xi4":
+            out[0, 0, 0, 0] = np.nan
+        return out
+    monkeypatch.setattr(sg, "partial_data", nan_xi4)
+    assert np.isnan(cases.lambda_defect(cases.LAMBDA_PARAMS[1], 8))
+
+
+def test_selfdual_defect_keeps_a_nan_in_a_later_component():
+    # "14" pairs with "23": neither is the first component compared
+    g = _grid4(4)
+    comps = {k: np.zeros(g.shape + (2, 2)) for k in zerocurv._PAIRS}
+    comps["14"][0, 0, 0, 0, 0, 0] = np.nan
+    F = zerocurv.Curvature2Form(g, comps)
+    assert np.isnan(zerocurv.selfdual_defect(F))
+
+
+def test_abs_max_is_the_max_of_abs_to_the_bit():
+    rng = np.random.default_rng(11)
+    for r in (rng.normal(size=(5, 7)), -np.abs(rng.normal(size=9)),
+              rng.normal(size=6) + 1j * rng.normal(size=6)):
+        assert zerocurv.abs_max(r) == np.abs(r).max()
+    zero = zerocurv.abs_max(np.array([-0.0, -0.0]))
+    assert zero == 0 and not np.signbit(zero)
+    assert np.isnan(zerocurv.abs_max(np.array([1.0, np.nan, -2.0])))
+
+
 def test_perturbed_connection_residual_stalls():
     maxima = []
     for n in (9, 17, 33):
@@ -437,6 +555,20 @@ def test_embedding_identity_live_set_is_bounded():
         tracemalloc.stop()
     assert defect <= 1e-13
     assert peak <= 13 * stack, peak / stack
+
+
+def test_embedding_identity_defect_keeps_a_nan_in_a_later_line(monkeypatch):
+    # a NaN in the second identity line was dropped by Python's max
+    residuals = zerocurv.sdym_complex_residuals
+
+    def nan_abar_bbar(pot):
+        sd = residuals(pot)
+        sd["abar_bbar"][0, 0, 0, 0, 0] = np.nan
+        return sd
+    monkeypatch.setattr(zerocurv, "sdym_complex_residuals", nan_abar_bbar)
+    conn = cases.random_connection(_grid3(6), np.random.default_rng(5))
+    assert np.isnan(zerocurv.embedding_identity_defect(conn["A"], conn["B"],
+                                                       conn["C"]))
 
 
 def _swapped_slots(embed, a, b):
