@@ -8,7 +8,9 @@ command of the benchmark's CLI cycle, run in process, the report minus
 `timing` and a sha256 prefix of every file the command writes.  A float's
 repr round-trips exactly, so equal lines mean equal values.  The arrays
 behind the checks get one line each, with a sha256 of their raw bytes and
-their shape, dtype and max |entry|.
+their shape, dtype and max |entry|, and so do the seeded input arrays
+(`inputs/...`: the reduction fields, the embedding connection and the
+Frenet coefficients).
 
     PYTHONPATH=src python scripts/fingerprint.py --seeds 4242 17
     PYTHONPATH=src python scripts/fingerprint.py --seeds 4242 --against OTHER
@@ -73,13 +75,16 @@ def array_line(name, arr):
 
 
 def array_lines(wl, seed):
-    """Raw-byte digests of the arrays behind the warm checks, on the same
-    inputs: a check returns maxima, which miss a change in other entries."""
+    """Raw-byte digests of the seeded input arrays of the warm checks and of
+    the arrays behind those checks: a check returns maxima, which miss a
+    change in other entries, and an input line shows a generator change
+    apart from the values derived from it."""
     from solgeo import cases, frames, solitons, zerocurv
 
     inp = wl.grids_inputs(seed)
     arrays = {}
     conn = inp["embedding_conn"]
+    inputs = {f"embedding.{k}": f.data for k, f in conn.items()}
     pot = zerocurv.embed_sdym(conn["A"], conn["B"], conn["C"])
     for k, r in zerocurv.sdym_complex_residuals(pot).items():
         arrays[f"embedding.sdym.{k}"] = r
@@ -87,6 +92,7 @@ def array_lines(wl, seed):
         arrays[f"embedding.mlxii.{k}"] = r
     fields = dict(inp["reduction_fields"])
     grid = fields.pop("grid")
+    inputs.update({f"reduction.{k}": v for k, v in fields.items()})
     c = inp["reduction_c"]
     for tag, eq, params in (("m3q-strachan", "m3q", {"c": c, "d": 0.0}),
                             ("strachan", "strachan", {"c": c}),
@@ -110,12 +116,15 @@ def array_lines(wl, seed):
 
     inp = wl.transport_inputs(seed)
     for beta, (coeffs, h) in inp["frenet"].items():
+        inputs[f"frenet.beta{beta:+d}"] = np.array(
+            [(c.c1, c.c2, c.c3) for c in coeffs])
         arrays[f"frenet.beta{beta:+d}"] = frames.propagate_frenet(
             frames.FrameTriad.standard(beta), coeffs, beta, h).data
     s = cases.SURFACE_CASES["sphere-patch"](inp["surface_n"])
     arrays["surface_sphere-patch.position"] = \
         frames.reconstruct_surface(s).position.data
-    return [array_line(f"arrays/{seed}/{k}", v) for k, v in arrays.items()]
+    return ([array_line(f"inputs/{seed}/{k}", v) for k, v in inputs.items()]
+            + [array_line(f"arrays/{seed}/{k}", v) for k, v in arrays.items()])
 
 
 def file_digests(directory):

@@ -116,7 +116,27 @@ def test_check_reductions(tmp_path):
         rp = tmp_path / f"{case}.json"
         assert run(["check", "--eq", "m3q", "--case", case,
                     "--report", str(rp)]) == 0
-        assert load_report(rp)["passed"] is True
+        rep = load_report(rp)
+        assert rep["passed"] is True
+        assert all(c["m3q_max"] > 0 for c in rep["checks"])
+
+
+@pytest.mark.parametrize("case", ["strachan-reduction", "zi-reduction"])
+def test_check_reduction_fails_on_vanishing_residuals(case, tmp_path,
+                                                      monkeypatch):
+    # on zero fields both sides of the identity vanish, so a gate on their
+    # difference alone would pass
+    monkeypatch.setattr(cases, "random_smooth",
+                        lambda grid, rng, scale=1.0: np.zeros(grid.shape,
+                                                              dtype=complex))
+    rp = tmp_path / "r.json"
+    assert run(["check", "--eq", "m3q", "--case", case,
+                "--report", str(rp)]) == 1
+    rep = load_report(rp)
+    assert rep["passed"] is False
+    assert len(rep["checks"]) == 3
+    assert all(c["max"] == 0.0 and c["m3q_max"] == 0.0
+               and c["passed"] is False for c in rep["checks"])
 
 
 @pytest.mark.parametrize("case", ["strachan-reduction", "zi-reduction"])

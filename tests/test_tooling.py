@@ -156,6 +156,10 @@ def test_fingerprint_is_repeatable_and_covers_every_check(tmp_path):
     assert files["cli/5/1-check.files"] == "[]"
     assert files["cli/5/7-frame.files"].startswith("[('frame.csv', '")
     assert any(n.startswith("arrays/5/embedding.") for n in names)
+    assert {n for n in names if n.startswith("inputs/")} == {
+        "inputs/5/embedding.A", "inputs/5/embedding.B", "inputs/5/embedding.C",
+        "inputs/5/reduction.q", "inputs/5/reduction.p", "inputs/5/reduction.v",
+        "inputs/5/frenet.beta+1", "inputs/5/frenet.beta-1"}
 
 
 def test_mutation_score_flips_each_sign_in_the_named_functions(tmp_path,
