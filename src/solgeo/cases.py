@@ -276,22 +276,23 @@ def random_smooth(grid: sg.GridSpec, rng, scale: float = 1.0) -> np.ndarray:
     """Seeded band-limited random field: a sum of four low-wavenumber
     complex exponentials amp * exp(i k.x), smooth on any grid.
 
-    On fully periodic grids k_a = m * 2 pi / (n_a h_a) with an integer
-    |m| <= 2, so each mode fits whole periods into every axis and the field
-    is exactly periodic (otherwise wrap-around stencils see a jump); on
-    other grids, partly periodic ones too, each k_a is uniform in [-2, 2).
-    Each mode draws k, then amp (two normals), so a seed fixes the modes.
+    On a periodic axis k_a = m * 2 pi / (n_a h_a) with an integer |m| <= 2,
+    so each mode fits whole periods into the axis and the field is exactly
+    periodic along it (otherwise wrap-around stencils see a jump); on an
+    open axis k_a is uniform in [-2, 2).  Each mode draws the periodic
+    axes' m (one integers call), then the open axes' k (one uniform call),
+    then amp (two normals), so a seed fixes the modes.
     A mode is a product of per-axis factors exp(i k_a x_a) on the sparse
     meshes, so it costs one full-grid product and no full-grid exp."""
-    periodic = all(a.periodic for a in grid.axes)
+    periodic = np.array([a.periodic for a in grid.axes])
     base = np.array([2 * np.pi / (a.n * a.h) for a in grid.axes])
     meshes = grid.meshes(sparse=True)
     data = np.zeros(grid.shape, dtype=complex)
     for _ in range(4):
-        if periodic:
-            k = rng.integers(-2, 3, size=len(grid.axes)) * base
-        else:
-            k = rng.uniform(-2.0, 2.0, size=len(grid.axes))
+        k = np.empty(len(grid.axes))
+        k[periodic] = (rng.integers(-2, 3, size=periodic.sum())
+                       * base[periodic])
+        k[~periodic] = rng.uniform(-2.0, 2.0, size=(~periodic).sum())
         term = (rng.normal() + 1j * rng.normal()) * scale / 4
         for ka, x in zip(k, meshes):
             term = term * np.exp(1j * (ka * x))

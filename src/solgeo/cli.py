@@ -74,9 +74,7 @@ def _check_planewave(args):
     from solgeo import cases, solitons
 
     eq = args.eq
-    case_eq = {"planewave-ds": "ds", "planewave-zi": "zi",
-               "planewave-strachan": "strachan"}.get(args.case)
-    if case_eq is None or case_eq != eq:
+    if args.case != f"planewave-{eq}":
         raise DomainError(f"case {args.case!r} does not match equation {eq!r}")
     pw = cases.planewave(eq)
     if args.omega_scale != 1.0:
@@ -92,13 +90,9 @@ def _check_planewave(args):
 
 def _refine_levels(args):
     """Refinement levels of a convergence check; fewer than two would give
-    no ratio and so a vacuous pass.  These checks gate on ratio windows,
-    so a --tol (flag or config) would be recorded and never applied."""
+    no ratio and so a vacuous pass."""
     if args.refine < 2:
         raise DomainError(f"--refine must be at least 2, got {args.refine}")
-    if args.tol is not None:
-        raise DomainError("--tol does not apply to refinement checks, which "
-                          "gate on convergence ratios")
     return args.refine
 
 
@@ -112,6 +106,8 @@ def _window_check(name, study):
 def _check_pure_gauge(args):
     from solgeo import cases
 
+    if args.case != "pure-gauge":
+        raise DomainError("system checks support the pure-gauge case")
     study = sg.refinement_study(
         lambda lv: cases.pure_gauge_defect(args.system, args.n * 2**lv + 1),
         _refine_levels(args))
@@ -189,7 +185,34 @@ def _check_lax(args):
     return checks
 
 
-def cmd_check(args):
+# each check's runner and the check flags it reads; any other flag but
+# --report that is off its parser default would only be recorded
+CHECKS = {
+    "planewave": (_check_planewave, {"eq", "case", "n", "tol", "omega_scale"}),
+    "reduction": (_check_reduction, {"eq", "case", "n", "tol", "seed"}),
+    "pure-gauge": (_check_pure_gauge, {"system", "case", "n", "refine"}),
+    "lambda": (_check_lambda, {"kind", "n", "refine"}),
+    "lax": (_check_lax, {"kind", "n", "refine", "perturb"}),
+}
+
+
+def cmd_check(args, defaults):
+    """Run the check that --kind, else --system, else --eq selects;
+    defaults holds the check flags' parser defaults, before --config."""
+    if args.kind:
+        name, by = args.kind, "--kind"
+    elif args.system:
+        name, by = "pure-gauge", "--system"
+    elif args.eq in ("ds", "zi", "strachan", "m3q"):
+        name, by = "reduction" if args.eq == "m3q" else "planewave", "--eq"
+    else:
+        raise DomainError(f"unsupported check: eq={args.eq!r} "
+                          f"case={args.case!r}")
+    run, reads = CHECKS[name]
+    for dest, default in defaults.items():
+        if dest not in reads | {"report"} and getattr(args, dest) != default:
+            raise DomainError(f"--{dest.replace('_', '-')} does not apply to "
+                              f"the {name} check that {by} selects")
     # nan compares false and inf would pass every value, so neither gates
     if args.tol is not None and not 0.0 <= args.tol < math.inf:
         raise DomainError("--tol must be finite and non-negative, "
@@ -197,29 +220,6 @@ def cmd_check(args):
     if not math.isfinite(args.omega_scale):
         raise DomainError(f"--omega-scale must be finite, got "
                           f"{args.omega_scale}")
-    if args.kind == "lambda":
-        run = _check_lambda
-    elif args.kind == "lax":
-        run = _check_lax
-    elif args.system:
-        if args.case != "pure-gauge":
-            raise DomainError("system checks support the pure-gauge case")
-        run = _check_pure_gauge
-    elif (args.eq in ("ds", "zi", "strachan")
-          and args.case.startswith("planewave")):
-        run = _check_planewave
-    elif args.eq == "m3q":
-        run = _check_reduction
-    else:
-        raise DomainError(f"unsupported check: eq={args.eq!r} "
-                          f"case={args.case!r}")
-    # a flag the chosen check never applies would only be recorded in its
-    # config: only the lax check has a negative control to run, and only
-    # the plane-wave check a frequency to scale
-    if args.perturb and run is not _check_lax:
-        raise DomainError("--perturb applies to --kind lax only")
-    if args.omega_scale != 1.0 and run is not _check_planewave:
-        raise DomainError("--omega-scale applies to plane-wave checks only")
     return run(args)
 
 
@@ -425,6 +425,9 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
+    # the parser's own defaults, read before --config replaces them
+    defaults = {a.dest: a.default for a in commands[args.command]._actions
+                if a.dest != "help"}
     if args.config:
         try:
             conf = _config_defaults(args.config, vars(args))
@@ -444,7 +447,7 @@ def main(argv=None) -> int:
     faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     try:
         if args.command == "check":
-            checks = cmd_check(args)
+            checks = cmd_check(args, defaults)
         elif args.command == "surface":
             checks = cmd_surface(args)
         elif args.command == "case":

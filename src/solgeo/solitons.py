@@ -15,9 +15,6 @@ from solgeo import grid as sg
 from solgeo.errors import DomainError, NumericalError
 from solgeo.waves import Wave
 
-EQUATION_IDS = ("ishimori", "ds", "mix", "mviii", "mxxxiv", "zii", "zi",
-                "mkdv_c", "mkdv_r", "strachan", "m3q", "mi")
-
 
 def get_alpha(params: dict) -> complex:
     return complex(params.get("alpha_re", 1.0), params.get("alpha_im", 0.0))

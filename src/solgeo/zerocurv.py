@@ -256,9 +256,6 @@ def selfdual_defect(F: Curvature2Form) -> float:
 
 # --- spectral-parameter fields -----------------------------------------------
 
-LAMBDA_KINDS = ("sdym_xi", "mlxii_complex")
-
-
 @dataclass(frozen=True)
 class SpectralField:
     grid: sg.GridSpec

@@ -220,6 +220,90 @@ def test_omega_scale_outside_planewave_is_usage_error(argv, capsys):
     assert captured.out == ""
 
 
+# a check per entry of cli.CHECKS, and a value off the parser default for
+# every check flag, as command-line text and as a config value
+CHECK_ARGV = {
+    "planewave": ["check", "--eq", "zi", "--case", "planewave-zi",
+                  "--n", "8"],
+    "reduction": ["check", "--eq", "m3q", "--case", "zi-reduction",
+                  "--n", "8"],
+    "pure-gauge": ["check", "--system", "mlxii", "--case", "pure-gauge",
+                   "--n", "8", "--refine", "2"],
+    "lambda": ["check", "--kind", "lambda", "--n", "8", "--refine", "2"],
+    "lax": ["check", "--kind", "lax", "--refine", "2"],
+}
+OFF_DEFAULT = {"eq": "zi", "system": "gmce", "kind": "lax",
+               "case": "planewave-zi", "n": 8, "refine": 2, "tol": 1e-8,
+               "omega_scale": 1.1, "perturb": True, "seed": 5}
+
+
+def _check_flags():
+    _, commands = cli._build_parser()
+    return [a.dest for a in commands["check"]._actions
+            if a.dest not in ("help", "report")]
+
+
+def test_refusal_table_covers_every_check_and_flag():
+    assert set(CHECK_ARGV) == set(cli.CHECKS)
+    assert set(OFF_DEFAULT) == set(_check_flags())
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("check, dest", [
+    (check, dest) for check, (_, reads) in cli.CHECKS.items()
+    for dest in _check_flags() if dest not in reads])
+def test_flag_the_check_does_not_read_is_usage_error(check, dest, via,
+                                                     tmp_path, capsys):
+    # a value the check never reads would only be recorded in the report's
+    # config; a selector that takes precedence names itself as the selector
+    flag, rp = "--" + dest.replace("_", "-"), tmp_path / "r.json"
+    argv = CHECK_ARGV[check] + ["--report", str(rp)]
+    value = OFF_DEFAULT[dest]
+    if via == "flag":
+        code = run(argv + ([flag] if value is True else [flag, str(value)]))
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({dest: value}))
+        code = run(["--config", str(conf)] + argv)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert captured.err.startswith("solgeo:") and flag in captured.err
+    assert captured.err.count("\n") == 1
+    assert not rp.exists()
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--eq", "zi", "--case", "planewave-zi", "--seed", "5"], "--seed"),
+    (["--eq", "m3q", "--case", "zi-reduction", "--n", "8", "--refine", "9"],
+     "--refine"),
+    (["--kind", "lax", "--n", "8", "--refine", "2", "--eq", "ds",
+      "--case", "planewave-ds"], "--eq"),
+    (["--kind", "lambda", "--n", "6", "--refine", "2", "--system", "gmce",
+      "--case", "pure-gauge"], "--system"),
+    (["--system", "gmce", "--case", "pure-gauge", "--n", "8", "--refine", "2",
+      "--eq", "zi", "--seed", "3"], "--eq"),
+])
+def test_ignored_flags_that_used_to_run_are_usage_errors(argv, flag,
+                                                          tmp_path, capsys):
+    # each ran the selected check and recorded the ignored values
+    rp = tmp_path / "r.json"
+    assert run(["check", *argv, "--report", str(rp)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"solgeo: {flag} does not apply")
+    assert err.count("\n") == 1 and not rp.exists()
+
+
+def test_readme_check_command_lines_run(tmp_path, monkeypatch):
+    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+        lines = [ln.split()[1:] for ln in fh
+                 if ln.startswith("solgeo check ")]
+    assert len(lines) == 5
+    monkeypatch.chdir(tmp_path)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert [run(argv) for argv in lines] == [0] * 5
+
+
 @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
 def test_nonfinite_omega_scale_is_usage_error(scale, tmp_path, capsys):
     # a nan frequency made every residual nan: exit 1 and a report with
@@ -593,6 +677,15 @@ def test_any_command_line_keeps_exit_code_contract(tmp_path_factory, argv):
         if scale in ("nan", "inf") or (scale != "1" and not planewave):
             # a scale that is never applied, or that is not finite
             assert code == 2, argv
+    if argv[0] == "check":
+        reduction = "m3q" in argv
+        planewave = argv[1] == "--eq" and not reduction
+        seed = argv[argv.index("--seed") + 1]
+        refine = argv[argv.index("--refine") + 1]
+        if ((seed != "0" and not reduction)
+                or (refine != "3" and (planewave or reduction))):
+            # a flag the check does not read is refused, never recorded
+            assert code == 2, argv
 
 
 def test_config_file_merge_and_flag_priority(tmp_path):
@@ -668,8 +761,7 @@ def test_config_value_inside_choices_runs(tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"kind": "lambda"}))
     rp = tmp_path / "r.json"
-    assert run(["--config", str(conf), "check", "--eq", "zi",
-                "--case", "planewave-zi", "--n", "8", "--refine", "2",
+    assert run(["--config", str(conf), "check", "--n", "8", "--refine", "2",
                 "--report", str(rp)]) == 0
     rep = load_report(rp)
     assert rep["config"]["kind"] == "lambda"
