@@ -10,7 +10,10 @@ repr round-trips exactly, so equal lines mean equal values.  The arrays
 behind the checks get one line each, with a sha256 of their raw bytes and
 their shape, dtype and max |entry|, and so do the seeded input arrays
 (`inputs/...`: the reduction fields, the embedding connection and the
-Frenet coefficients).
+Frenet coefficients).  The surface lines cover every case's reconstructed
+positions and, for the sphere, the output of each map that reads
+`SurfaceData`: frame coefficients, U and V, the GWE matrices and the mI
+velocities.
 
     PYTHONPATH=src python scripts/fingerprint.py --seeds 4242 17
     PYTHONPATH=src python scripts/fingerprint.py --seeds 4242 --against OTHER
@@ -120,9 +123,18 @@ def array_lines(wl, seed):
             [(c.c1, c.c2, c.c3) for c in coeffs])
         arrays[f"frenet.beta{beta:+d}"] = frames.propagate_frenet(
             frames.FrameTriad.standard(beta), coeffs, beta, h).data
-    s = cases.SURFACE_CASES["sphere-patch"](inp["surface_n"])
-    arrays["surface_sphere-patch.position"] = \
-        frames.reconstruct_surface(s).position.data
+    for name, make in cases.SURFACE_CASES.items():
+        arrays[f"surface_{name}.position"] = \
+            frames.reconstruct_surface(make(inp["surface_n"])).position.data
+    s = cases.sphere_patch(inp["surface_n"])
+    for k, v in frames.coeffs_from_surface(s).items():
+        arrays[f"surface_sphere-patch.coeffs.{k}"] = v
+    U, V, _ = frames.build_uvw(s)
+    A, B = frames.gwe_matrices(s)
+    for k, m in {"uvw.U": U, "uvw.V": V, "gwe.A": A, "gwe.B": B}.items():
+        arrays[f"surface_sphere-patch.{k}"] = m.data
+    for i, y in enumerate(frames.mI_velocities(s), 1):
+        arrays[f"surface_sphere-patch.mI.y{i}"] = y
     return ([array_line(f"inputs/{seed}/{k}", v) for k, v in inputs.items()]
             + [array_line(f"arrays/{seed}/{k}", v) for k, v in arrays.items()])
 

@@ -215,27 +215,17 @@ def _surface_grid(n: int, x0: float, x1: float, y0: float, y1: float):
     )
 
 
-def _zero_gamma(shape):
-    z = np.zeros(shape)
-    return {k: z.copy() for k in ("111", "211", "112", "212", "122", "222")}
-
-
 def sphere_patch(n: int = 32) -> frames.SurfaceData:
     """Unit sphere, inward normal: E=1, F=0, G=cos^2 x, L=1, M=0, N=cos^2 x,
     p11=p22=-1, Gamma^2_12=-tan x, Gamma^1_22=sin x cos x."""
     from solgeo import frames
 
     g = _surface_grid(n, -0.6, 0.6, 0.0, 1.0)
-    x, _ = g.meshes()
-    one = np.ones(g.shape)
-    zero = np.zeros(g.shape)
-    gamma = _zero_gamma(g.shape)
-    gamma["212"] = -np.tan(x)
-    gamma["122"] = np.sin(x) * np.cos(x)
+    x, _ = g.meshes(sparse=True)
+    gamma = {"212": -np.tan(x), "122": np.sin(x) * np.cos(x)}
     return frames.SurfaceData(
-        grid=g, E=one, F=zero, G=np.cos(x) ** 2,
-        L=one.copy(), M=zero.copy(), N=np.cos(x) ** 2,
-        gamma=gamma, p11=-one, p12=zero.copy(), p21=zero.copy(), p22=-one.copy(),
+        grid=g, E=1.0, F=0.0, G=np.cos(x) ** 2, L=1.0, M=0.0,
+        N=np.cos(x) ** 2, gamma=gamma, p11=-1.0, p12=0.0, p21=0.0, p22=-1.0,
     )
 
 
@@ -243,28 +233,21 @@ def cylinder(n: int = 32) -> frames.SurfaceData:
     """Unit cylinder, outward normal: E=G=1, F=0, L=-1, M=N=0, p11=1."""
     from solgeo import frames
 
-    g = _surface_grid(n, 0.0, 1.2, 0.0, 1.0)
-    one = np.ones(g.shape)
-    zero = np.zeros(g.shape)
     return frames.SurfaceData(
-        grid=g, E=one, F=zero, G=one.copy(),
-        L=-one, M=zero.copy(), N=zero.copy(),
-        gamma=_zero_gamma(g.shape),
-        p11=one.copy(), p12=zero.copy(), p21=zero.copy(), p22=zero.copy(),
+        grid=_surface_grid(n, 0.0, 1.2, 0.0, 1.0), E=1.0, F=0.0, G=1.0,
+        L=-1.0, M=0.0, N=0.0, gamma={},
+        p11=1.0, p12=0.0, p21=0.0, p22=0.0,
     )
 
 
 def plane(n: int = 16) -> frames.SurfaceData:
+    """Unit-speed plane: E=G=1 and every other coefficient zero."""
     from solgeo import frames
 
-    g = _surface_grid(n, 0.0, 1.0, 0.0, 1.0)
-    one = np.ones(g.shape)
-    zero = np.zeros(g.shape)
     return frames.SurfaceData(
-        grid=g, E=one, F=zero, G=one.copy(),
-        L=zero.copy(), M=zero.copy(), N=zero.copy(),
-        gamma=_zero_gamma(g.shape),
-        p11=zero.copy(), p12=zero.copy(), p21=zero.copy(), p22=zero.copy(),
+        grid=_surface_grid(n, 0.0, 1.0, 0.0, 1.0), E=1.0, F=0.0, G=1.0,
+        L=0.0, M=0.0, N=0.0, gamma={},
+        p11=0.0, p12=0.0, p21=0.0, p22=0.0,
     )
 
 

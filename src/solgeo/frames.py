@@ -108,16 +108,29 @@ def commutation_defect_2d(start: FrameTriad, A, B) -> float:
     return float(np.abs(fxy - fyx).max())
 
 
+# the spatial Christoffel symbols, an absent one is zero, and the
+# time-direction entries the maps below read when present
+_SPATIAL_GAMMA = ("111", "211", "112", "212", "122", "222")
+_TIME_GAMMA = ("201", "203", "301", "302")
+_FORMS = ("E", "F", "G", "L", "M", "N", "p11", "p12", "p21", "p22")
+
+
 @dataclass(frozen=True)
 class SurfaceData:
     """First/second fundamental forms, Christoffel symbols and Weingarten
     coefficients sampled on an (x, y) grid.
 
-    gamma keys use upper-then-lower index strings, e.g. "211" for the symbol
-    with upper index 2 and lower indices 1,1.  Time-direction coefficients
-    ("201", "203", "301") are optional.  The three printed time-Christoffel
-    formulas with suspect index placement are exposed as c01a/c01b/c01c by
-    callers that need them; this container stores whatever it is given.
+    Each of E ... p22 and each gamma entry may be anything that broadcasts
+    to grid.shape, a constant included; it is stored as a read-only array
+    of that shape.  gamma keys use upper-then-lower index strings, e.g.
+    "211" for the symbol with upper index 2 and lower indices 1,1.  An
+    absent spatial symbol is zero; the time-direction entries ("201",
+    "203", "301", "302") are optional, and any other key is a DomainError.
+    The three printed time-Christoffel formulas with suspect index
+    placement are exposed as c01a/c01b/c01c by `time_christoffels`.
+
+    g = EG - F^2 is computed once, here, and E > 0, g > 0 are checked at
+    every grid point: a degenerate metric is a DomainError at construction.
     """
 
     grid: sg.GridSpec
@@ -133,19 +146,24 @@ class SurfaceData:
     p21: np.ndarray
     p22: np.ndarray
     upsilon: dict = field(default_factory=dict)
+    g: np.ndarray = field(init=False, repr=False, compare=False)
 
-    @property
-    def g(self) -> np.ndarray:
-        return self.E * self.G - self.F**2
-
-    def check_metric(self):
-        if np.any(self.E <= 0):
-            idx = np.unravel_index(int(np.argmax(self.E <= 0)), self.E.shape)
-            raise DomainError(f"E <= 0 first at grid index {idx}")
-        gg = self.g
-        if np.any(gg <= 0):
-            idx = np.unravel_index(int(np.argmax(gg <= 0)), gg.shape)
-            raise DomainError(f"EG - F^2 <= 0 first at grid index {idx}")
+    def __post_init__(self):
+        shape = self.grid.shape
+        unknown = sorted(set(self.gamma) - set(_SPATIAL_GAMMA + _TIME_GAMMA))
+        if unknown:
+            raise DomainError(f"unknown gamma key {unknown[0]!r}")
+        wide = lambda v: np.broadcast_to(np.asarray(v, float), shape)
+        put = lambda name, v: object.__setattr__(self, name, v)
+        for name in _FORMS:
+            put(name, wide(getattr(self, name)))
+        gamma = {**dict.fromkeys(_SPATIAL_GAMMA, 0.0), **self.gamma}
+        put("gamma", {k: wide(v) for k, v in gamma.items()})
+        put("g", self.E * self.G - self.F**2)
+        for name, v in (("E", self.E), ("EG - F^2", self.g)):
+            if np.any(v <= 0):
+                idx = np.unravel_index(int(np.argmax(v <= 0)), shape)
+                raise DomainError(f"{name} <= 0 first at grid index {idx}")
 
 
 def coeffs_from_surface(s: SurfaceData) -> dict:
@@ -156,7 +174,6 @@ def coeffs_from_surface(s: SurfaceData) -> dict:
     with time data also w1 = -(g/sqrt(E)) G^2_03, w2 = (g/E) G^2_03,
     w3 = G^3_01 / sqrt(E).
     """
-    s.check_metric()
     g = s.g
     sqE = np.sqrt(s.E)
     out = {
@@ -178,7 +195,6 @@ def build_uvw(s: SurfaceData):
     """Traceless anti-Hermitian 2x2 gauge matrices of the frame linear
     problem.  W is returned only when the time-direction Christoffels are
     present."""
-    s.check_metric()
     g = s.g
     sqE = np.sqrt(s.E)
     sq_gE = np.sqrt(g / s.E)
@@ -245,7 +261,6 @@ def reconstruct_surface(s: SurfaceData) -> ReconstructionResult:
     """
     from solgeo import zerocurv
 
-    s.check_metric()
     g = s.grid
     hx = g.axis("x").h
     hy = g.axis("y").h
@@ -326,7 +341,6 @@ def mI_velocities(s: SurfaceData, u: np.ndarray | None = None):
     """Velocity coefficients of the position-flow form of the isotropic spin
     equation: Y1 = u + M F / sqrt(g), Y2 = -M / sqrt(g), Y3 = G^2_12 sqrt(g),
     with u integrated from sqrt(g) (L G^2_12 - M G^2_11) when omitted."""
-    s.check_metric()
     sqg = np.sqrt(s.g)
     if u is None:
         integrand = sqg * (s.L * s.gamma["212"] - s.M * s.gamma["211"])

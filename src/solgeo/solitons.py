@@ -594,13 +594,13 @@ def map_spin_coeffs(eq: str, k: np.ndarray, tau: np.ndarray, u: np.ndarray,
 
 
 def amplitude_phase(eq: str, k, tau, m1, m2, m3, params: dict,
-                    grid: sg.GridSpec, A=None, D=None,
-                    with_phase: bool = False) -> dict:
+                    grid: sg.GridSpec, with_phase: bool = False) -> dict:
     """Squared amplitudes and gamma integrands of the soliton fields, plus
     the phases (and q, p) when requested.
 
-    A and D are the undetermined auxiliary fields of the phase integrands;
-    they default to zero."""
+    The phases integrate b1_x = -g1/(2i a1^2) - (A* - A + D - D*) and
+    b2_x = -g2/(2i a2^2) - (A - A* + D* - D).  The paper leaves the
+    auxiliary fields A and D free; they are zero here."""
     if eq not in ("ishimori", "mix"):
         raise DomainError(f"no amplitude map for {eq!r}")
     alpha = get_alpha(params)
@@ -653,14 +653,8 @@ def amplitude_phase(eq: str, k, tau, m1, m2, m3, params: dict,
         bad = a1p2 <= 0 if np.any(a1p2 <= 0) else a2p2 <= 0
         loc = np.unravel_index(int(np.argmax(bad)), bad.shape)
         raise DomainError(f"nonpositive amplitude at grid index {loc}")
-    if A is None:
-        A = np.zeros_like(g1)
-    if D is None:
-        D = np.zeros_like(g1)
-    b1 = sg.antider_x_data(-g1 / (2j * a1p2) - (np.conj(A) - A + D - np.conj(D)),
-                           grid)
-    b2 = sg.antider_x_data(-g2 / (2j * a2p2) - (A - np.conj(A) + np.conj(D) - D),
-                           grid)
+    b1 = sg.antider_x_data(-g1 / (2j * a1p2), grid)
+    b2 = sg.antider_x_data(-g2 / (2j * a2p2), grid)
     out.update({
         "b1": b1,
         "b2": b2,

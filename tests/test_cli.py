@@ -16,6 +16,7 @@ from solgeo import cases, cli, frames, liealg, solitons
 from solgeo import grid as sg
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(solgeo.__file__)))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def run(argv):
@@ -178,6 +179,46 @@ def test_check_lax_uses_line_size(tmp_path):
     assert check["defects"] == ref["defects"]
 
 
+def test_check_lax_control_runs_at_the_finest_level(tmp_path, monkeypatch):
+    # the detuned control must be compared with the defect at its own size
+    calls = []
+
+    def defect(eq, fields, params, n_line, substeps):
+        calls.append((n_line, substeps))
+        return 1.0 / n_line**3
+    monkeypatch.setattr(solitons, "lax_commutation_defect", defect)
+    rp = tmp_path / "r.json"
+    assert run(["check", "--kind", "lax", "--refine", "2", "--perturb",
+                "--report", str(rp)]) == 1
+    assert calls == [(16, 4), (32, 8), (32, 8)]
+    control = load_report(rp)["checks"][1]
+    assert control["name"] == "lax-zi-discrimination"
+    assert control["max"] == 1.0
+
+
+@pytest.mark.parametrize("perturb", [[], ["--perturb"]])
+@pytest.mark.parametrize("finest", [0.0, float("nan")])
+def test_check_lax_fails_on_a_vanishing_finest_defect(finest, perturb,
+                                                      tmp_path, monkeypatch,
+                                                      capsys):
+    # the ratio to a zero or nan defect used to read inf, which passed the
+    # r >= 8 floor, and the control divided by a zero defect (a traceback)
+    by_size = {16: 1.0, 32: 0.1, 64: finest}
+    monkeypatch.setattr(solitons, "lax_commutation_defect",
+                        lambda eq, fields, params, n_line, substeps:
+                        by_size[n_line])
+    rp = tmp_path / "r.json"
+    assert run(["check", "--kind", "lax", "--refine", "3", *perturb,
+                "--report", str(rp)]) == 1
+    assert capsys.readouterr().err == ""
+    rep = load_report(rp)
+    assert rep["passed"] is False
+    assert len(rep["checks"]) == 1 + len(perturb)
+    assert not any(c["passed"] for c in rep["checks"])
+    ratios = rep["checks"][0]["ratios"]
+    assert ratios[0] == pytest.approx(10.0) and np.isnan(ratios[1])
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("argv", [
     ["check", "--eq", "zi", "--case", "planewave-zi"],
@@ -295,7 +336,8 @@ def test_ignored_flags_that_used_to_run_are_usage_errors(argv, flag,
 
 
 def test_readme_check_command_lines_run(tmp_path, monkeypatch):
-    with open(os.path.join(os.path.dirname(SRC), "README.md")) as fh:
+    # beside the tests, not beside the imported package, which may be a copy
+    with open(os.path.join(ROOT, "README.md")) as fh:
         lines = [ln.split()[1:] for ln in fh
                  if ln.startswith("solgeo check ")]
     assert len(lines) == 5

@@ -171,10 +171,63 @@ def test_coeffs_cylinder_and_plane():
 
 def test_coeffs_rejects_degenerate_metric():
     s = cases.plane(8)
-    bad = frames.SurfaceData(s.grid, -s.E, s.F, s.G, s.L, s.M, s.N, s.gamma,
-                             s.p11, s.p12, s.p21, s.p22)
     with pytest.raises(DomainError):
-        frames.coeffs_from_surface(bad)
+        frames.SurfaceData(s.grid, -s.E, s.F, s.G, s.L, s.M, s.N, s.gamma,
+                           s.p11, s.p12, s.p21, s.p22)
+
+
+def _flat_forms(grid, **kw):
+    """The plane's coefficients on grid, as constants, with kw replacing
+    any of them."""
+    forms = dict(E=1.0, F=0.0, G=1.0, L=0.0, M=0.0, N=0.0, gamma={},
+                 p11=0.0, p12=0.0, p21=0.0, p22=0.0)
+    return frames.SurfaceData(grid, **{**forms, **kw})
+
+
+def _first_index_message(what, i, j):
+    idx = (np.intp(i), np.intp(j))  # as np.unravel_index gives it
+    return f"{what} <= 0 first at grid index {idx}"
+
+
+def test_surface_rejects_nonpositive_E_at_construction():
+    g = cases.plane(8).grid
+    x, y = g.meshes()
+    E = 1.0 - ((x > 0.5) & (y > 0.3))  # zero for i >= 4, j >= 3
+    with pytest.raises(DomainError) as exc:
+        _flat_forms(g, E=E)
+    assert str(exc.value) == _first_index_message("E", 4, 3)
+
+
+def test_surface_rejects_nonpositive_g_from_F_alone():
+    # E = G = 1 everywhere, so only F^2 > EG can make g <= 0
+    g = cases.plane(8).grid
+    x, y = g.meshes()
+    F = np.where((x > 0.2) & (y > 0.6), 1.5, 0.0)  # i >= 2, j >= 5
+    with pytest.raises(DomainError) as exc:
+        _flat_forms(g, F=F)
+    assert str(exc.value) == _first_index_message("EG - F^2", 2, 5)
+    # F^2 = EG is degenerate too
+    with pytest.raises(DomainError) as exc:
+        _flat_forms(g, F=1.0)
+    assert str(exc.value) == _first_index_message("EG - F^2", 0, 0)
+
+
+def test_surface_rejects_unknown_gamma_key():
+    g = cases.plane(8).grid
+    with pytest.raises(DomainError, match="unknown gamma key '121'"):
+        _flat_forms(g, gamma={"212": 0.0, "121": 1.0, "999": 1.0})
+
+
+def test_surface_broadcasts_constants_and_sparse_gamma():
+    g = cases.plane(6).grid
+    x, _ = g.meshes(sparse=True)
+    s = _flat_forms(g, G=2.0, F=x, gamma={"212": x, "301": 1.0})
+    assert set(s.gamma) == {"111", "211", "112", "212", "122", "222", "301"}
+    for v in (s.E, s.F, s.G, s.p22, *s.gamma.values()):
+        assert v.shape == g.shape and not v.flags.writeable
+    assert np.array_equal(s.gamma["212"], np.broadcast_to(x, g.shape))
+    assert not s.gamma["111"].any() and (s.gamma["301"] == 1.0).all()
+    assert np.array_equal(s.g, 2.0 - np.broadcast_to(x, g.shape) ** 2)
 
 
 def _unimodular_surface(seed=5, n=8):

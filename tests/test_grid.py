@@ -276,3 +276,25 @@ def test_field_norms():
     assert out["max"] == 3.0
     assert out["argmax"] == [2, 3]
     assert out["l2"] == pytest.approx(np.sqrt(9.0 / 20.0))
+
+
+def test_refinement_study_defects_and_ratios():
+    levels = []
+
+    def defect(lv):
+        levels.append(lv)
+        return 2.0 ** -(2 * lv)
+
+    out = sg.refinement_study(defect, 3)
+    assert levels == [0, 1, 2]
+    assert out == {"defects": [1.0, 0.25, 0.0625], "ratios": [4.0, 4.0]}
+
+
+@pytest.mark.parametrize("finest", [0.0, float("nan"), -1.0])
+def test_refinement_study_ratio_is_nan_on_a_nonpositive_defect(finest):
+    # a vanishing finest defect shows no rate: the ratio must fail every
+    # gate, the lower-bound ones (r >= 8) included
+    out = sg.refinement_study(lambda lv: [1.0, 0.1, finest][lv], 3)
+    assert out["ratios"][0] == pytest.approx(10.0)
+    assert np.isnan(out["ratios"][1])
+    assert not out["ratios"][1] >= 8.0
