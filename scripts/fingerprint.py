@@ -13,7 +13,8 @@ their shape, dtype and max |entry|, and so do the seeded input arrays
 Frenet coefficients).  The surface lines cover every case's reconstructed
 positions and, for the sphere, the output of each map that reads
 `SurfaceData`: frame coefficients, U and V, the GWE matrices and the mI
-velocities.
+velocities.  The builder lines cover the Lax, spin, `hat` and
+`skew_matrix` matrices on seeded inputs (`builder_arrays`).
 
     PYTHONPATH=src python scripts/fingerprint.py --seeds 4242 17
     PYTHONPATH=src python scripts/fingerprint.py --seeds 4242 --against OTHER
@@ -135,8 +136,51 @@ def array_lines(wl, seed):
         arrays[f"surface_sphere-patch.{k}"] = m.data
     for i, y in enumerate(frames.mI_velocities(s), 1):
         arrays[f"surface_sphere-patch.mI.y{i}"] = y
+    arrays.update(builder_arrays(wl, seed))
     return ([array_line(f"inputs/{seed}/{k}", v) for k, v in inputs.items()]
             + [array_line(f"arrays/{seed}/{k}", v) for k, v in arrays.items()])
+
+
+def builder_arrays(wl, seed):
+    """The small-matrix builders on seeded inputs: the zi, zii and mi Lax
+    matrices (mi at r2 = +1 on a unit spin and at r2 = -1 on a hyperboloid
+    spin) on `random_smooth` fields of a doubly periodic 16 x 16 grid, the
+    spin matrices of both spins, `hat` of 129 axial vectors and
+    `skew_matrix` of 129 triples in the X role at beta = +1 and in the Y
+    and T roles at beta = -1."""
+    from solgeo import cases, liealg, solitons
+    from solgeo import grid as sg
+
+    rng = wl.seeded_rng(seed)
+    grid = sg.GridSpec.make(*(sg.Axis(a, 16, np.pi / 8, periodic=True)
+                              for a in "xy"))
+    field = lambda: cases.random_smooth(grid, rng)
+    out = {}
+    zi = solitons.build_lax("zi", {"q": field(), "p": field(),
+                                   "v": field().real}, grid=grid)
+    # a, b off the default -1/2 keep the C0 diagonal solve non-resonant
+    zii = solitons.build_lax("zii", {"q": field(), "p": field()},
+                             {"a": 0.3, "b": 0.2}, grid=grid)
+    out.update({f"lax.zi.{k}": m for k, m in zi.items()})
+    out.update({f"lax.zii.{k}": m for k, m in zii.items()})
+    rho, phi, u = field().real, field().imag, field().real
+    spins = {1: np.stack([np.sin(rho) * np.cos(phi),
+                          np.sin(rho) * np.sin(phi), np.cos(rho)], axis=-1),
+             -1: np.stack([np.sinh(rho) * np.cos(phi),
+                           np.sinh(rho) * np.sin(phi), np.cosh(rho)],
+                          axis=-1)}
+    for r2, S in spins.items():
+        mi = solitons.build_lax("mi", {"S": S, "u": u}, {"r2": r2},
+                                grid=grid)
+        out.update({f"lax.mi{r2:+d}.{k}": m for k, m in mi.items()})
+        out[f"spin_matrix{r2:+d}"] = liealg.spin_matrix(S, r2)
+    out["hat"] = liealg.hat(rng.normal(size=(129, 3)))
+    for role, beta in (("x", 1), ("y", -1), ("t", -1)):
+        make = getattr(liealg.CoeffTriple, role)
+        triples = [make(*c) for c in rng.normal(size=(129, 3))]
+        out[f"skew_matrix.{role}{beta:+d}"] = liealg.skew_matrix(triples,
+                                                                 beta)
+    return out
 
 
 def file_digests(directory):

@@ -285,12 +285,12 @@ def random_smooth(grid: sg.GridSpec, rng, scale: float = 1.0) -> np.ndarray:
 
 def random_connection(grid: sg.GridSpec, rng, names=("A", "B", "C"),
                       m: int = 3, scale: float = 0.5) -> dict:
-    """Seeded random smooth matrix fields sharing one grid."""
-    out = {}
-    for name in names:
-        data = np.empty(grid.shape + (m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                data[..., i, j] = random_smooth(grid, rng, scale)
-        out[name] = sg.MatrixField(grid, data)
-    return out
+    """Seeded random smooth matrix fields sharing one grid, each entry a
+    `random_smooth` field drawn in row-major order, one at a time."""
+    from solgeo import liealg
+
+    rows = lambda: [(random_smooth(grid, rng, scale) for _ in range(m))
+                    for _ in range(m)]
+    return {name: sg.MatrixField(grid, liealg.matrices(rows(), grid.shape,
+                                                       complex))
+            for name in names}

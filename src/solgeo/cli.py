@@ -180,8 +180,9 @@ def _check_lax(args):
             "zi", bad_pw["callables"], {"lam": 0.3},
             n_line=args.n * 2**lv, substeps=4 * 2**lv)
         finest = report["defects"][-1]
-        # as in refinement_study, no ratio to a zero or nan defect
-        ratio = bad / finest if finest > 0 else math.nan
+        # refinement_study's ratio rule: nan unless bad is finite and
+        # finest positive
+        ratio = sg.refinement_study([bad, finest].__getitem__, 2)["ratios"][0]
         checks.append({"name": "lax-zi-discrimination", "max": ratio,
                        "tol": 100.0, "passed": bool(ratio >= 100.0)})
     return checks

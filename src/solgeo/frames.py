@@ -4,6 +4,7 @@ and surface reconstruction from first/second fundamental forms."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -122,7 +123,8 @@ class SurfaceData:
 
     Each of E ... p22 and each gamma entry may be anything that broadcasts
     to grid.shape, a constant included; it is stored as a read-only array
-    of that shape.  gamma keys use upper-then-lower index strings, e.g.
+    of that shape, and gamma as a read-only mapping, so no entry escapes
+    these checks by a write after construction.  gamma keys use upper-then-lower index strings, e.g.
     "211" for the symbol with upper index 2 and lower indices 1,1.  An
     absent spatial symbol is zero; the time-direction entries ("201",
     "203", "301", "302") are optional, and any other key is a DomainError.
@@ -158,11 +160,12 @@ class SurfaceData:
         for name in _FORMS:
             put(name, wide(getattr(self, name)))
         gamma = {**dict.fromkeys(_SPATIAL_GAMMA, 0.0), **self.gamma}
-        put("gamma", {k: wide(v) for k, v in gamma.items()})
+        put("gamma", MappingProxyType({k: wide(v) for k, v in gamma.items()}))
         put("g", self.E * self.G - self.F**2)
         for name, v in (("E", self.E), ("EG - F^2", self.g)):
             if np.any(v <= 0):
-                idx = np.unravel_index(int(np.argmax(v <= 0)), shape)
+                idx = tuple(map(int, np.unravel_index(np.argmax(v <= 0),
+                                                      shape)))
                 raise DomainError(f"{name} <= 0 first at grid index {idx}")
 
 
@@ -202,12 +205,10 @@ def build_uvw(s: SurfaceData):
     pref = 1.0 / (2j * sqE)
 
     def mat(diag, off_re, off_im_sign):
-        m = np.empty(s.E.shape + (2, 2), dtype=complex)
-        m[..., 0, 0] = pref * (-sqg * diag)
-        m[..., 0, 1] = pref * (off_re + 1j * off_im_sign)
-        m[..., 1, 0] = pref * (off_re - 1j * off_im_sign)
-        m[..., 1, 1] = pref * (sqg * diag)
-        return sg.MatrixField(s.grid, m)
+        return sg.MatrixField(s.grid, liealg.matrices(
+            [[pref * (-sqg * diag), pref * (off_re + 1j * off_im_sign)],
+             [pref * (off_re - 1j * off_im_sign), pref * (sqg * diag)]],
+            s.grid.shape, complex))
 
     U = mat(s.p12, s.L, sq_gE * s.gamma["211"])
     V = mat(s.p22, s.M, -sq_gE * s.gamma["212"])
@@ -220,25 +221,13 @@ def build_uvw(s: SurfaceData):
 def gwe_matrices(s: SurfaceData):
     """3x3 connection matrices of the position-vector linear problem
     Z = (r_x, r_y, n):  Z_x = A Z, Z_y = B Z."""
-    shape = s.E.shape
-    A = np.zeros(shape + (3, 3))
-    B = np.zeros(shape + (3, 3))
-    A[..., 0, 0] = s.gamma["111"]
-    A[..., 0, 1] = s.gamma["211"]
-    A[..., 0, 2] = s.L
-    A[..., 1, 0] = s.gamma["112"]
-    A[..., 1, 1] = s.gamma["212"]
-    A[..., 1, 2] = s.M
-    A[..., 2, 0] = s.p11
-    A[..., 2, 1] = s.p12
-    B[..., 0, 0] = s.gamma["112"]
-    B[..., 0, 1] = s.gamma["212"]
-    B[..., 0, 2] = s.M
-    B[..., 1, 0] = s.gamma["122"]
-    B[..., 1, 1] = s.gamma["222"]
-    B[..., 1, 2] = s.N
-    B[..., 2, 0] = s.p21
-    B[..., 2, 1] = s.p22
+    gam = s.gamma
+    A = liealg.matrices([[gam["111"], gam["211"], s.L],
+                         [gam["112"], gam["212"], s.M],
+                         [s.p11, s.p12, 0]], s.grid.shape)
+    B = liealg.matrices([[gam["112"], gam["212"], s.M],
+                         [gam["122"], gam["222"], s.N],
+                         [s.p21, s.p22, 0]], s.grid.shape)
     return sg.MatrixField(s.grid, A), sg.MatrixField(s.grid, B)
 
 

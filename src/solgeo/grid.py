@@ -276,9 +276,10 @@ def field_norms(data: np.ndarray):
 def refinement_study(defect, levels: int) -> dict:
     """Defects defect(0) ... defect(levels - 1) of a grid-refinement study
     and the ratio of each level's defect to the next one's.  The ratio is
-    nan when the next defect is not positive (zero or nan): a study that
-    ends on a vanishing defect shows no rate, so every gate fails on it."""
+    nan unless the coarser defect is finite and the finer one positive: a
+    study that ends on a vanishing defect, or starts from one that blew
+    up, shows no rate, so every gate fails on it."""
     defects = [defect(lv) for lv in range(levels)]
-    ratios = [d0 / d1 if d1 > 0 else math.nan
+    ratios = [d0 / d1 if math.isfinite(d0) and d1 > 0 else math.nan
               for d0, d1 in zip(defects, defects[1:])]
     return {"defects": defects, "ratios": ratios}

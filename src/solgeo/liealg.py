@@ -1,6 +1,6 @@
-"""Fixed-size matrix algebra: skew matrices from coefficient triples,
-commutators, matrix exponentials, Lie-group frame transport and the 2x2
-spin matrix.
+"""Fixed-size matrix algebra: stacks of small matrices written as their
+rows, skew matrices from coefficient triples, commutators, matrix
+exponentials, Lie-group frame transport and the 2x2 spin matrix.
 
 Matrices are plain numpy arrays; the builders here guarantee the algebraic
 shape (generalized antisymmetry, tracelessness) of their outputs.
@@ -21,6 +21,21 @@ ROLE_T = "T"  # (w1, w2, w3)
 
 # worst pointwise defect of the spin constraint that spin_matrix accepts
 _SPIN_TOL = 1e-8
+
+
+def matrices(rows, shape, dtype=float) -> np.ndarray:
+    """The zero-filled stack shape + (m, m) of the matrices written as
+    their m rows: entry (i, j) is rows[i][j], an array that broadcasts to
+    shape or a number.  An entry that is a literal (integer) zero is not
+    written, so it stays the zero fill.  The entries are read row by row,
+    left to right, and each is written before the next is read, so rows
+    of generators build one entry at a time."""
+    out = np.zeros(tuple(shape) + (len(rows),) * 2, dtype=dtype)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if not (isinstance(v, int) and v == 0):
+                out[..., i, j] = v
+    return out
 
 
 @dataclass(frozen=True)
@@ -75,9 +90,9 @@ def skew_matrix(t, beta: int) -> np.ndarray:
     c = np.array([(u.c1, u.c2, u.c3, 1.0 if u.role == ROLE_X else beta)
                   for u in triples], dtype=float).reshape(-1, 4)
     c1, c2, c3, s = c.T
-    m = np.zeros((len(c), 3, 3))
-    m[:, [0, 0, 1, 1, 2, 2], [1, 2, 0, 2, 0, 1]] = np.stack(
-        [c1, -c3, -beta * c1, c2, s * c3, -c2], axis=-1)
+    m = matrices([[0, c1, -c3],
+                  [-beta * c1, 0, c2],
+                  [s * c3, -c2, 0]], (len(c),))
     return m[0] if single else m
 
 
@@ -87,10 +102,10 @@ def hat(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if v.shape[-1:] != (3,):
         raise DomainError(f"axial vectors need a last axis of 3, got {v.shape}")
-    m = np.zeros(v.shape + (3,), dtype=v.dtype)
-    m[..., [2, 0, 1], [1, 2, 0]] = v
-    m[..., [1, 2, 0], [2, 0, 1]] = -v
-    return m
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    return matrices([[0, -z, y],
+                     [z, 0, -x],
+                     [-y, x, 0]], v.shape[:-1], v.dtype)
 
 
 # points per block of the bracket kernels (`cross` and the complex 3x3
@@ -417,9 +432,6 @@ def spin_matrix(S: np.ndarray, r2: int = 1) -> np.ndarray:
         raise ConstraintError(
             f"spin constraint violated, worst defect {worst:.3e}", defect=worst
         )
-    out = np.empty(S.shape[:-1] + (2, 2), dtype=complex)
-    out[..., 0, 0] = s3
-    out[..., 0, 1] = s1 - 1j * s2
-    out[..., 1, 0] = (s1 + 1j * s2) if r2 == 1 else -(s1 + 1j * s2)
-    out[..., 1, 1] = -s3
-    return out
+    sp = s1 + 1j * s2
+    return matrices([[s3, s1 - 1j * s2],
+                     [sp if r2 == 1 else -sp, -s3]], S.shape[:-1], complex)

@@ -251,9 +251,6 @@ def _spin_residual(eq, fields, params, grid, d, alpha):
 
 # --- Lax matrix builders -----------------------------------------------------
 
-ZI_A3 = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
-
-
 def build_lax(eq: str, fields: dict, params: dict | None = None,
               grid=None, d=None) -> dict:
     """Lax matrices exactly as printed, with the derivative d(f, axis) on
@@ -265,6 +262,8 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
     operators (zero-mean gauge) on the doubly periodic (x, y) axes; any
     further grid axes are batch axes.
     """
+    from solgeo import liealg
+
     params = params or {}
     if grid is None:
         raise DomainError("grid required")
@@ -273,27 +272,20 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
     if eq == "zi":
         q, p = (np.asarray(fields[k], dtype=complex) for k in ("q", "p"))
         v = fields["v"]
-        shape = q.shape
-        A1 = np.zeros(shape + (3, 3), dtype=complex)
-        A1[..., 0, 1] = 1j * (q - p)
-        A1[..., 0, 2] = q + p
-        A1[..., 1, 0] = -1j * (q - p)
-        A1[..., 2, 0] = -(q + p)
+        A1 = liealg.matrices([[0, 1j * (q - p), q + p],
+                              [-1j * (q - p), 0, 0],
+                              [-(q + p), 0, 0]], q.shape, complex)
         spy = d(q + p, "y")
         dmy = d(1j * (p - q), "y")
-        A2 = np.zeros(shape + (3, 3), dtype=complex)
-        A2[..., 0, 1] = spy
-        A2[..., 0, 2] = dmy
-        A2[..., 1, 0] = -spy
-        A2[..., 1, 2] = v
-        A2[..., 2, 0] = -dmy
-        A2[..., 2, 1] = -v
-        A3 = np.broadcast_to(ZI_A3.astype(complex), shape + (3, 3)).copy()
+        A2 = liealg.matrices([[0, spy, dmy],
+                              [-spy, 0, v],
+                              [-dmy, -v, 0]], q.shape, complex)
+        A3 = liealg.matrices([[0, 0, 0],
+                              [0, 0, 1],
+                              [0, -1, 0]], q.shape, complex)
         return {"A1": A1, "A2": A2, "A3": A3}
 
     if eq == "mi":
-        from solgeo import liealg
-
         S, u = fields["S"], fields["u"]
         r2sign = int(params.get("r2", 1))
         if r2sign not in (1, -1):
@@ -320,16 +312,12 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
         a = params.get("a", -0.5)
         b = params.get("b", -0.5)
         alpha = get_alpha(params)
-        shape = q.shape
-        B0 = np.zeros(shape + (2, 2), dtype=complex)
-        B0[..., 0, 1] = q
-        B0[..., 1, 0] = p
-        B1 = np.zeros(shape + (2, 2), dtype=complex)
-        B1[..., 0, 0] = a + 1
-        B1[..., 1, 1] = a
-        C2 = np.zeros(shape + (2, 2), dtype=complex)
-        C2[..., 0, 0] = (2 * b + 1) / 2 + 0.5
-        C2[..., 1, 1] = (2 * b + 1) / 2 - 0.5
+        B0 = liealg.matrices([[0, q],
+                              [p, 0]], q.shape, complex)
+        B1 = liealg.matrices([[a + 1, 0],
+                              [0, a]], q.shape, complex)
+        C2 = liealg.matrices([[(2 * b + 1) / 2 + 0.5, 0],
+                              [0, (2 * b + 1) / 2 - 0.5]], q.shape, complex)
         C1 = 1j * B0
         qx, qy, py = d(q, "x"), d(q, "y"), d(p, "y")
         c12 = 1j * (2 * b - a + 1) * qx + 1j * alpha * qy
@@ -337,11 +325,8 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
         pq = p * q
         c11 = _solve_first_order(pq, grid, a + 1, alpha, 2 * b - a + 1, alpha)
         c22 = _solve_first_order(pq, grid, a, alpha, a - 2 * b, -alpha)
-        C0 = np.zeros(shape + (2, 2), dtype=complex)
-        C0[..., 0, 0] = c11
-        C0[..., 0, 1] = c12
-        C0[..., 1, 0] = c21
-        C0[..., 1, 1] = c22
+        C0 = liealg.matrices([[c11, c12],
+                              [c21, c22]], q.shape, complex)
         return {"B0": B0, "B1": B1, "C0": C0, "C1": C1, "C2": C2}
 
     raise DomainError(f"no Lax builder for equation {eq!r}")
@@ -365,7 +350,7 @@ def _solve_first_order(pq, grid, cx, cy, rx, ry):
     bad = (zero & ((KX != 0) | (KY != 0))
            & (np.abs(rhs_hat) > 1e-10 * max(1.0, np.abs(pq_hat).max())))
     if bad.any():
-        m = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        m = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
         raise DomainError(f"resonant Fourier mode {m} in temporal-entry solve")
     f_hat = np.where(zero, 0.0, rhs_hat / np.where(zero, 1.0, sym))
     return np.fft.ifft2(f_hat, axes=axes)
@@ -651,7 +636,7 @@ def amplitude_phase(eq: str, k, tau, m1, m2, m3, params: dict,
         return out
     if np.any(a1p2 <= 0) or np.any(a2p2 <= 0):
         bad = a1p2 <= 0 if np.any(a1p2 <= 0) else a2p2 <= 0
-        loc = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        loc = tuple(map(int, np.unravel_index(np.argmax(bad), bad.shape)))
         raise DomainError(f"nonpositive amplitude at grid index {loc}")
     b1 = sg.antider_x_data(-g1 / (2j * a1p2), grid)
     b2 = sg.antider_x_data(-g2 / (2j * a2p2), grid)

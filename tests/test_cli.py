@@ -219,6 +219,39 @@ def test_check_lax_fails_on_a_vanishing_finest_defect(finest, perturb,
     assert ratios[0] == pytest.approx(10.0) and np.isnan(ratios[1])
 
 
+def test_check_lax_fails_on_an_infinite_coarse_defect(tmp_path, monkeypatch,
+                                                      capsys):
+    # inf / 0.1 read inf, which passed the r >= 8 floor
+    by_size = {16: float("inf"), 32: 0.1, 64: 0.01}
+    monkeypatch.setattr(solitons, "lax_commutation_defect",
+                        lambda eq, fields, params, n_line, substeps:
+                        by_size[n_line])
+    rp = tmp_path / "r.json"
+    assert run(["check", "--kind", "lax", "--refine", "3",
+                "--report", str(rp)]) == 1
+    assert capsys.readouterr().err == ""
+    check = load_report(rp)["checks"][0]
+    assert check["passed"] is False
+    assert np.isnan(check["ratios"][0])
+    assert check["ratios"][1] == pytest.approx(10.0)
+
+
+def test_check_lax_control_ratio_follows_the_refinement_rule(tmp_path,
+                                                              monkeypatch):
+    # a detuned defect that blew up shows no discrimination: its ratio to
+    # the finest defect is nan, as in refinement_study, not inf
+    defects = iter([1.0, 0.1, float("inf")])
+    monkeypatch.setattr(solitons, "lax_commutation_defect",
+                        lambda eq, fields, params, n_line, substeps:
+                        next(defects))
+    rp = tmp_path / "r.json"
+    assert run(["check", "--kind", "lax", "--refine", "2", "--perturb",
+                "--report", str(rp)]) == 1
+    study, control = load_report(rp)["checks"]
+    assert study["passed"] is True
+    assert control["passed"] is False and np.isnan(control["max"])
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("argv", [
     ["check", "--eq", "zi", "--case", "planewave-zi"],

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from solgeo import cases, frames, liealg, zerocurv
+from solgeo import cases, frames, liealg, solitons, zerocurv
 from solgeo import grid as sg
 from solgeo.errors import DomainError
 
@@ -185,8 +187,7 @@ def _flat_forms(grid, **kw):
 
 
 def _first_index_message(what, i, j):
-    idx = (np.intp(i), np.intp(j))  # as np.unravel_index gives it
-    return f"{what} <= 0 first at grid index {idx}"
+    return f"{what} <= 0 first at grid index ({i}, {j})"
 
 
 def test_surface_rejects_nonpositive_E_at_construction():
@@ -230,6 +231,55 @@ def test_surface_broadcasts_constants_and_sparse_gamma():
     assert np.array_equal(s.g, 2.0 - np.broadcast_to(x, g.shape) ** 2)
 
 
+def test_surface_gamma_is_read_only_after_construction():
+    # an entry written later would skip the key and broadcast checks
+    s = _flat_forms(cases.plane(6).grid, gamma={"212": 0.5})
+    with pytest.raises(TypeError):
+        s.gamma["999"] = 1.0
+    with pytest.raises(TypeError):
+        s.gamma["212"] = np.zeros(3)
+    assert set(s.gamma) == {"111", "211", "112", "212", "122", "222"}
+
+
+def _nonpositive_E():
+    g = cases.plane(8).grid
+    x, _ = g.meshes()
+    _flat_forms(g, E=np.where(x > 0.5, 0.0, 1.0))  # zero for i >= 4
+
+
+def _nonpositive_amplitude():
+    # alpha = 2, k = 1 and m3 = 1/2 zero the first squared amplitude
+    g = sg.GridSpec.make(sg.Axis("x", 6, 0.1), sg.Axis("y", 5, 0.1))
+    one, zero = np.ones(g.shape), np.zeros(g.shape)
+    m3 = np.full(g.shape, 0.2)
+    m3[3, 2] = 0.5
+    solitons.amplitude_phase("ishimori", one, zero, zero, zero, m3,
+                             {"alpha_re": 2.0}, g, with_phase=True)
+
+
+def _resonant_mode():
+    # at a = -1/2 the symbol vanishes where half the x-frequency equals
+    # the y-frequency, and q excites the mode (2, 1)
+    g = sg.GridSpec.make(*(sg.Axis(a, 16, np.pi / 8, periodic=True)
+                           for a in "xy"))
+    x, y = g.meshes()
+    q = np.exp(1j * (2 * x + y))
+    solitons.build_lax("zii", {"q": q, "p": np.ones_like(q)},
+                       {"a": -0.5, "b": 0.3}, grid=g)
+
+
+@pytest.mark.parametrize("fails, message", [
+    (_nonpositive_E, "E <= 0 first at grid index (4, 0)"),
+    (_nonpositive_amplitude, "nonpositive amplitude at grid index (3, 2)"),
+    (_resonant_mode, "resonant Fourier mode (2, 1) in temporal-entry solve"),
+])
+def test_grid_indices_print_as_plain_ints(fails, message):
+    # numpy 2 prints the np.unravel_index entries as np.int64(4)
+    with pytest.raises(DomainError) as exc:
+        fails()
+    assert str(exc.value) == message
+
+
 def _unimodular_surface(seed=5, n=8):
     rng = np.random.default_rng(seed)
     g2 = sg.GridSpec.make(sg.Axis("x", n, 0.1), sg.Axis("y", n, 0.1))
@@ -255,8 +305,9 @@ def test_uvw_traceless_antihermitian():
 def test_uvw_time_matrix_present_with_time_christoffels():
     s = _unimodular_surface()
     rng = np.random.default_rng(9)
-    for key in ("201", "203", "301"):
-        s.gamma[key] = cases.random_smooth(s.grid, rng).real
+    s = dataclasses.replace(s, gamma={
+        **s.gamma, **{key: cases.random_smooth(s.grid, rng).real
+                      for key in ("201", "203", "301")}})
     _, _, W = frames.build_uvw(s)
     assert W is not None
     assert np.abs(W.data[..., 0, 0] + W.data[..., 1, 1]).max() < 1e-14

@@ -298,3 +298,12 @@ def test_refinement_study_ratio_is_nan_on_a_nonpositive_defect(finest):
     assert out["ratios"][0] == pytest.approx(10.0)
     assert np.isnan(out["ratios"][1])
     assert not out["ratios"][1] >= 8.0
+
+
+@pytest.mark.parametrize("coarse", [float("inf"), float("nan")])
+def test_refinement_study_ratio_is_nan_from_a_nonfinite_coarse_defect(coarse):
+    # a coarse level that blew up shows no rate either: inf / 0.1 would
+    # pass the lax floor r >= 8
+    out = sg.refinement_study(lambda lv: [coarse, 0.1, 0.01][lv], 3)
+    assert np.isnan(out["ratios"][0])
+    assert out["ratios"][1] == pytest.approx(10.0)

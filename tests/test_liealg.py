@@ -162,6 +162,39 @@ def test_commutator_keeps_matmul_off_the_complex_3x3_path():
         assert np.array_equal(liealg.commutator(x, y), x @ y - y @ x)
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_matrices_writes_the_rows_it_is_given(dtype):
+    col = np.arange(1.0, 5.0)[:, None]   # broadcasts to (4, 3)
+    rows = [[0, 2.5, col],
+            [-col, 0, np.full((4, 3), -0.0)],
+            [1, 0.0, 0]]
+    m = liealg.matrices(rows, (4, 3), dtype)
+    assert m.shape == (4, 3, 3, 3) and m.dtype == np.dtype(dtype)
+    want = np.zeros((4, 3, 3, 3), dtype=dtype)
+    want[..., 0, 1] = 2.5
+    want[..., 0, 2] = col
+    want[..., 1, 0] = -col
+    want[..., 1, 2] = -0.0
+    want[..., 2, 0] = 1
+    assert np.array_equal(m, want)
+    # literal zeros stay the +0 fill; a signed zero entry is written
+    for i, j in ((0, 0), (1, 1), (2, 1), (2, 2)):
+        assert not m[..., i, j].any()
+        assert not np.signbit(m[..., i, j].real).any()
+    assert np.signbit(m[..., 1, 2].real).all()
+    # a 2x2 with no leading axes, from rows of generators read in order
+    seen = []
+
+    def row(i):
+        for j in range(2):
+            seen.append((i, j))
+            yield 2.0 * i + j + 1
+
+    assert np.array_equal(liealg.matrices([row(0), row(1)], (), dtype),
+                          [[1.0, 2.0], [3.0, 4.0]])
+    assert seen == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
 def test_hat_pattern():
     m = liealg.hat(np.array([1.0, 2.0, 3.0]))
     assert np.array_equal(m, [[0.0, -3.0, 2.0], [3.0, 0.0, -1.0],
