@@ -114,6 +114,7 @@ def commutation_defect_2d(start: FrameTriad, A, B) -> float:
 _SPATIAL_GAMMA = ("111", "211", "112", "212", "122", "222")
 _TIME_GAMMA = ("201", "203", "301", "302")
 _FORMS = ("E", "F", "G", "L", "M", "N", "p11", "p12", "p21", "p22")
+_UPSILON = ("1", "2", "3")
 
 
 @dataclass(frozen=True)
@@ -121,13 +122,17 @@ class SurfaceData:
     """First/second fundamental forms, Christoffel symbols and Weingarten
     coefficients sampled on an (x, y) grid.
 
-    Each of E ... p22 and each gamma entry may be anything that broadcasts
-    to grid.shape, a constant included; it is stored as a read-only array
-    of that shape, and gamma as a read-only mapping, so no entry escapes
-    these checks by a write after construction.  gamma keys use upper-then-lower index strings, e.g.
-    "211" for the symbol with upper index 2 and lower indices 1,1.  An
-    absent spatial symbol is zero; the time-direction entries ("201",
-    "203", "301", "302") are optional, and any other key is a DomainError.
+    Each of E ... p22 and each gamma and upsilon entry may be anything that
+    broadcasts to grid.shape, a constant included; it is stored as a
+    read-only array of that shape, and gamma and upsilon as read-only
+    mappings, so no entry escapes these checks by a write after
+    construction.  An entry that does not broadcast is a DomainError naming
+    it.  gamma keys use upper-then-lower index strings, e.g. "211" for the
+    symbol with upper index 2 and lower indices 1,1.  An absent spatial
+    symbol is zero; the time-direction entries ("201", "203", "301", "302")
+    are optional.  upsilon holds the optional velocities "1", "2", "3" that
+    `time_christoffels` reads.  Any other gamma or upsilon key is a
+    DomainError.
     The three printed time-Christoffel formulas with suspect index
     placement are exposed as c01a/c01b/c01c by `time_christoffels`.
 
@@ -152,15 +157,27 @@ class SurfaceData:
 
     def __post_init__(self):
         shape = self.grid.shape
-        unknown = sorted(set(self.gamma) - set(_SPATIAL_GAMMA + _TIME_GAMMA))
-        if unknown:
-            raise DomainError(f"unknown gamma key {unknown[0]!r}")
-        wide = lambda v: np.broadcast_to(np.asarray(v, float), shape)
+        for name, keys in (("gamma", _SPATIAL_GAMMA + _TIME_GAMMA),
+                           ("upsilon", _UPSILON)):
+            unknown = sorted(set(getattr(self, name)) - set(keys))
+            if unknown:
+                raise DomainError(f"unknown {name} key {unknown[0]!r}")
+
+        def wide(name, v):
+            v = np.asarray(v, float)
+            try:
+                return np.broadcast_to(v, shape)
+            except ValueError:
+                raise DomainError(f"{name} of shape {v.shape} does not "
+                                  f"broadcast to the grid shape {shape}"
+                                  ) from None
         put = lambda name, v: object.__setattr__(self, name, v)
         for name in _FORMS:
-            put(name, wide(getattr(self, name)))
+            put(name, wide(name, getattr(self, name)))
         gamma = {**dict.fromkeys(_SPATIAL_GAMMA, 0.0), **self.gamma}
-        put("gamma", MappingProxyType({k: wide(v) for k, v in gamma.items()}))
+        for name, entries in (("gamma", gamma), ("upsilon", self.upsilon)):
+            put(name, MappingProxyType({k: wide(f"{name}[{k!r}]", v)
+                                        for k, v in entries.items()}))
         put("g", self.E * self.G - self.F**2)
         for name, v in (("E", self.E), ("EG - F^2", self.g)):
             if np.any(v <= 0):
@@ -310,7 +327,7 @@ def time_christoffels(s: SurfaceData) -> dict:
     plus p01 = F c3/g and p02 = -E c3/g for a caller-supplied "302" entry.
     Requires upsilon keys "1", "2", "3".
     """
-    missing = [k for k in ("1", "2", "3") if k not in s.upsilon]
+    missing = [k for k in _UPSILON if k not in s.upsilon]
     if missing:
         raise DomainError(f"upsilon fields missing {missing}")
     y1, y2, y3 = s.upsilon["1"], s.upsilon["2"], s.upsilon["3"]

@@ -376,10 +376,11 @@ def _stage_axis(name, span, substeps):
     return sg.Axis(name, 2 * substeps + 1, span / (2 * substeps))
 
 
-def _sample(fields, names, grid, fixed):
-    """Callables f(x, y, t) sampled on grid, with the coordinates the grid
-    lacks taken from `fixed`, each broadcast to the grid shape."""
-    c = {**fixed, **dict(zip(grid.names, grid.meshes(sparse=True)))}
+def _sample(fields, names, grid, at):
+    """Callables f(x, y, t) sampled on grid, with the coordinates in `at`
+    (which broadcast over the grid) in place of the grid's, each broadcast
+    to the grid shape."""
+    c = {**dict(zip(grid.names, grid.meshes(sparse=True))), **at}
     return {k: np.broadcast_to(fields[k](c["x"], c["y"], c["t"]), grid.shape)
             for k in names}
 
@@ -412,7 +413,8 @@ def lax_commutation_defect(eq: str, fields: dict, params: dict,
     that broadcast over array arguments.  Each sweep's stage generators come
     from build_lax with SpectralOps.
 
-    zi: sweeps along x and t, state on a periodic y-line of n_line points.
+    zi: the x-problem and the t-problem, the latter along its
+    characteristics, as pointwise sweeps on n_line sampled lines y.
     zii: sweeps along y and t, state on a periodic x-line; build_lax runs
     once on the doubly periodic (x, y) cell grid, batched over the t
     stages, and B0, C0 are read at each stage's exact y by trigonometric
@@ -426,42 +428,40 @@ def lax_commutation_defect(eq: str, fields: dict, params: dict,
 
 
 def _zi_defect(fields, params, n_line, substeps):
-    """Both sweep orders in two batched RK4 loops on states (n_line, 2, 3, 3).
+    """The four sides of the cell as one RK4 loop on states (n_line, 4, 3, 3)
+    from the identity, over n_line sampled lines y.
 
-    The x-sweep is a pointwise linear map of its start, so it runs from the
-    identity at t = 0 and t = end at once, giving Phi0 and Phi1; the two
-    t-sweeps then run together from the identity at x = 0 (T0) and from
-    Phi0 at x = end (ga), and gb = Phi1 @ T0.  The blow-up guard sees every
-    step of both loops."""
+    The t-problem g_t = lam g_y + A2 g is pointwise along its characteristics
+    y + lam (T - t).  The sides are the x-problem at t = 0 on the feet
+    y + lam T (Phi0) and at t = T on y (PhiT), and the t-problem at x = 0
+    (T0) and x = X (TX).  RK4 is linear in its start, so x then t is TX Phi0
+    and t then x is PhiT T0, up to rounding; LAX_CELL is square, so all four
+    step the same ds.  Each stage row is a periodic y-line with a shifted
+    origin, so build_lax's spectral y-derivative stays exact.  The sides
+    are built one at a time, so one build_lax dict is alive at once."""
     from solgeo import liealg
 
     lam = params.get("lam", 0.3)
     span = dict(zip(("x", "t"), LAX_CELL))
     line = _periodic_line("y", n_line)
-    spec = SpectralOps(sg.GridSpec.make(line))
-
-    def gens(axis, other, make):
-        """Stage generators (stages, n_line, 2, 3, 3) of the sweeps along
-        axis at the two ends of the other axis, split into real and
-        imaginary parts."""
+    gr, gi = np.empty((2, 2 * substeps + 1, n_line, 4, 3, 3))
+    for i, (axis, other, at) in enumerate((("x", "t", 0.0),
+                                           ("x", "t", span["t"]),
+                                           ("t", "x", 0.0),
+                                           ("t", "x", span["x"]))):
         grid = sg.GridSpec.make(_stage_axis(axis, span[axis], substeps), line)
-        g = np.stack([make(build_lax(
-            "zi", _sample(fields, ("q", "p", "v"), grid, {other: c}),
-            grid=grid, d=SpectralOps(grid).d)) for c in (0.0, span[other])],
-            axis=2)
-        return np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
-
-    eye = np.broadcast_to(np.eye(3, dtype=complex), (n_line, 3, 3))
-    xr, xi = gens("x", "t", lambda m: m["A1"] - lam * m["A3"])
-    phi = _sweep(lambda j, g: liealg.cmatmul(xr[j], xi[j], g),
-                 np.stack([eye, eye], axis=1), span["x"], substeps)
-    tr, ti = gens("t", "x", lambda m: m["A2"])
-
-    def rhs_t(j, g):
-        return lam * spec.d(g, "y") + liealg.cmatmul(tr[j], ti[j], g)
-    ts = _sweep(rhs_t, np.stack([eye, phi[:, 0]], axis=1), span["t"],
-                substeps)
-    return float(np.abs(ts[:, 1] - phi[:, 1] @ ts[:, 0]).max())
+        s, y = grid.meshes(sparse=True)
+        feet = y + lam * (span["t"] - (s if axis == "t" else at))
+        lax = build_lax("zi", _sample(fields, ("q", "p", "v"), grid,
+                                      {other: at, "y": feet}),
+                        grid=grid, d=SpectralOps(grid).d)
+        m = lax["A2"] if axis == "t" else lax["A1"] - lam * lax["A3"]
+        gr[:, :, i], gi[:, :, i] = m.real, m.imag
+        del lax, m
+    g = _sweep(lambda j, gg: liealg.cmatmul(gr[j], gi[j], gg),
+               np.broadcast_to(np.eye(3, dtype=complex), (n_line, 4, 3, 3)),
+               span["x"], substeps)
+    return float(np.abs(g[:, 3] @ g[:, 0] - g[:, 1] @ g[:, 2]).max())
 
 
 def _zii_defect(fields, params, n_line, substeps):

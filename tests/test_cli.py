@@ -112,6 +112,29 @@ def test_check_lambda(tmp_path):
     assert len(rep["checks"]) == 3
 
 
+def test_check_lambda_fails_on_a_perturbed_spectral_parameter(
+        tmp_path, monkeypatch, capsys):
+    # lam (1 + 0.3 xi2) solves no line: the defect stays O(0.1) (0.16-0.36
+    # at n = 8) where the oracle reads ~1e-3, so no ratio is near 4
+    from solgeo import zerocurv
+
+    exact = zerocurv.lambda_field
+
+    def perturbed(kind, params, g):
+        f = exact(kind, params, g)
+        xi2 = g.meshes(sparse=True)[g.index("xi2")]
+        return dataclasses.replace(f, lam=f.lam * (1 + 0.3 * xi2))
+    monkeypatch.setattr(zerocurv, "lambda_field", perturbed)
+    rp = tmp_path / "r.json"
+    assert run(["check", "--kind", "lambda", "--n", "8", "--refine", "3",
+                "--report", str(rp)]) == 1
+    rep = load_report(rp)
+    assert rep["passed"] is False and len(rep["checks"]) == 3
+    assert not any(c["passed"] for c in rep["checks"])
+    assert all(c["max"] > 0.1 for c in rep["checks"])
+    assert capsys.readouterr().err == ""
+
+
 def test_check_reductions(tmp_path):
     for case in ("strachan-reduction", "zi-reduction"):
         rp = tmp_path / f"{case}.json"

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -229,6 +230,38 @@ def test_surface_broadcasts_constants_and_sparse_gamma():
     assert np.array_equal(s.gamma["212"], np.broadcast_to(x, g.shape))
     assert not s.gamma["111"].any() and (s.gamma["301"] == 1.0).all()
     assert np.array_equal(s.g, 2.0 - np.broadcast_to(x, g.shape) ** 2)
+
+
+@pytest.mark.parametrize("kw, name", [
+    ({"E": np.ones(3)}, "E"), ({"gamma": {"212": np.ones(3)}}, "gamma['212']"),
+    ({"upsilon": {"1": np.zeros(3)}}, "upsilon['1']")])
+def test_surface_entry_that_does_not_broadcast_is_named(kw, name):
+    # numpy's broadcast ValueError named no field
+    with pytest.raises(DomainError, match=re.escape(
+            f"{name} of shape (3,) does not broadcast to the grid shape "
+            f"(6, 6)")):
+        dataclasses.replace(cases.plane(6), **kw)
+
+
+def test_surface_rejects_unknown_upsilon_key():
+    # "9" was stored, and time_christoffels never read it
+    with pytest.raises(DomainError, match="unknown upsilon key '9'"):
+        dataclasses.replace(cases.plane(6), upsilon={"1": 0.0, "9": 1.0})
+
+
+def test_surface_upsilon_is_broadcast_and_read_only():
+    # a bad entry written after construction reached time_christoffels as
+    # a raw numpy ValueError
+    g = cases.plane(6).grid
+    x, _ = g.meshes(sparse=True)
+    s = dataclasses.replace(cases.plane(6),
+                            upsilon={"1": x, "2": 0.5, "3": 0.0})
+    for v in s.upsilon.values():
+        assert v.shape == g.shape and not v.flags.writeable
+    assert np.array_equal(s.upsilon["1"], np.broadcast_to(x, g.shape))
+    with pytest.raises(TypeError):
+        s.upsilon["2"] = 1.0
+    assert np.abs(frames.time_christoffels(s)["c01a"] - 1).max() < 1e-12
 
 
 def test_surface_gamma_is_read_only_after_construction():

@@ -429,21 +429,30 @@ def test_zi_commutation_defect_discriminates():
     assert bad / good >= 100.0
 
 
-def _zi_sequential_defect(fields, params, n_line, substeps):
+def _zi_sequential_defect(fields, params, n_line, substeps,
+                          characteristics=True):
     """The zi commutation defect as four sweeps run one after another: x
     from the identity then t, and t from the identity then x, each second
-    sweep starting from the first one's end state."""
+    sweep starting from the first one's end state.  The t-sweeps of
+    g_t = lam g_y + A2 g run along the characteristics y + lam (T - t),
+    where the x-then-t order starts on the feet y + lam T, or, with
+    characteristics=False, by the method of lines on the fixed y-line with
+    the spectral lam g_y."""
     lam = params.get("lam", 0.3)
     span = dict(zip(("x", "t"), solitons.LAX_CELL))
     line = solitons._periodic_line("y", n_line)
     d_line = solitons.SpectralOps(sg.GridSpec.make(line)).d
+    shift = lam if characteristics else 0.0
 
     def lax(axis, fixed):
         grid = sg.GridSpec.make(
             solitons._stage_axis(axis, span[axis], substeps), line)
-        return solitons.build_lax(
-            "zi", solitons._sample(fields, ("q", "p", "v"), grid, fixed),
-            grid=grid, d=solitons.SpectralOps(grid).d)
+        c = {**dict(zip(grid.names, grid.meshes(sparse=True))), **fixed}
+        c["y"] = c["y"] + shift * (span["t"] - c["t"])
+        sampled = {k: np.broadcast_to(fields[k](c["x"], c["y"], c["t"]),
+                                      grid.shape) for k in ("q", "p", "v")}
+        return solitons.build_lax("zi", sampled, grid=grid,
+                                  d=solitons.SpectralOps(grid).d)
 
     def sweep_x(g, t):
         m = lax("x", {"t": t})
@@ -453,6 +462,9 @@ def _zi_sequential_defect(fields, params, n_line, substeps):
 
     def sweep_t(g, x):
         a2 = lax("t", {"x": x})["A2"]
+        if characteristics:
+            return solitons._sweep(lambda j, gg: a2[j] @ gg, g, span["t"],
+                                   substeps)
         return solitons._sweep(
             lambda j, gg: lam * d_line(gg, "y") + a2[j] @ gg, g, span["t"],
             substeps)
@@ -483,8 +495,9 @@ def _two_waves():
     ("two-waves", 32, 8)])
 def test_zi_batched_sweeps_match_sequential_reference(fields, n_line,
                                                       substeps):
-    # the x-sweep maps its start linearly, so Phi1 @ T0 is the x-sweep of
-    # T0 up to rounding; the batched t-sweeps are the sequential ones
+    # RK4 maps a pointwise linear start linearly, so the products of the
+    # four sides swept from the identity are the sequential sweeps up to
+    # rounding (a method-of-lines t-sweep differs by 1.3e-7 at 16, 4)
     f = (cases.planewave("zi")["callables"] if fields == "planewave"
          else _two_waves())
     got = solitons.lax_commutation_defect("zi", f, {"lam": 0.3},
@@ -495,9 +508,24 @@ def test_zi_batched_sweeps_match_sequential_reference(fields, n_line,
     assert abs(got - ref) <= 1e-13
 
 
+@pytest.mark.parametrize("n_line,substeps,gap", [
+    (16, 4, 3e-6), (32, 8, 5e-8), (64, 16, 3e-9)])
+def test_zi_characteristics_converge_to_method_of_lines(n_line, substeps,
+                                                        gap):
+    # two methods for the same non-solution defect (0.25146...): their gap
+    # is RK4 and method-of-lines error, 2.4e-6, 2.7e-8, 1.7e-9
+    f = _two_waves()
+    got = solitons.lax_commutation_defect("zi", f, {"lam": 0.3},
+                                          n_line=n_line, substeps=substeps)
+    ref = _zi_sequential_defect(f, {"lam": 0.3}, n_line, substeps,
+                                characteristics=False)
+    assert 0.1 < ref < 1.0
+    assert abs(got - ref) <= gap
+
+
 def test_zi_nan_in_one_batched_member_is_numerical_error():
-    # NaN only at t > 0.15: of the two x-sweeps run together, only the one
-    # at t = 0.2 goes bad, at its first step, and the guard names it
+    # NaN only at t > 0.15: the x-problem at t = 0.2 goes bad at the first
+    # step of the four sides run together, and the guard names it
     def q(x, y, t):
         return np.where(np.asarray(t) > 0.15, np.nan,
                         0.3 * np.exp(1j * (x + 2 * y)))

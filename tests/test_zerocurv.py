@@ -408,7 +408,7 @@ _FLAT_LEVELS = (7, 13, 25)
 def _rotation_field(grid):
     """Axial potentials A_mu = d_mu R R^-1 = (psi_mu cos phi, psi_mu sin phi,
     phi_mu), one per axis of grid, of R = Rz(phi) Rx(psi) with the
-    gradients in closed form, and R applied to _PHI0."""
+    gradients in closed form, and the matrices R."""
     xs = grid.meshes(sparse=True)
     k, k2, m, m2 = _WAVES
     pk, pk2, pm, pm2 = (sum(c * x for c, x in zip(w, xs)) for w in _WAVES)
@@ -425,13 +425,11 @@ def _rotation_field(grid):
         a[..., 1] = dpsi * sin_phi
         a[..., 2] = 0.5 * k[i] * cos_k - 0.3 * k2[i] * sin_k2
         pots.append(a)
-    # R phi0 = Rz(phi) (x, cos psi y - sin psi z, sin psi y + cos psi z)
-    u = np.cos(psi) * _PHI0[1] - np.sin(psi) * _PHI0[2]
-    rphi0 = np.empty(grid.shape + (3,))
-    rphi0[..., 0] = cos_phi * _PHI0[0] - sin_phi * u
-    rphi0[..., 1] = sin_phi * _PHI0[0] + cos_phi * u
-    rphi0[..., 2] = np.sin(psi) * _PHI0[1] + np.cos(psi) * _PHI0[2]
-    return pots, rphi0
+    cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+    R = liealg.matrices([[cos_phi, -sin_phi * cos_psi, sin_phi * sin_psi],
+                         [sin_phi, cos_phi * cos_psi, -cos_phi * sin_psi],
+                         [0, sin_psi, cos_psi]], grid.shape)
+    return pots, R
 
 
 def _flat_fixtures(n, control=None):
@@ -448,8 +446,9 @@ def _flat_fixtures(n, control=None):
     (a1, a2, a3, a4), _ = _rotation_field(g4)
     a, b = _PENCIL["a"], _PENCIL["b"]
     f4 = lambda d: sg.AxialField(g4, sign * d)
-    (ax, ay, at), rphi0 = _rotation_field(sg.GridSpec.make(
+    (ax, ay, at), R = _rotation_field(sg.GridSpec.make(
         *(sg.Axis(c, n, h) for c in "xyt")))
+    rphi0 = R @ _PHI0
     if control == "constant":
         rphi0 = np.broadcast_to(_PHI0, rphi0.shape)
     out = {
@@ -469,6 +468,32 @@ def _flat_fixtures(n, control=None):
         out[system] = ({k: sg.AxialField(g, sign * d)
                         for k, d in zip(names, fields)}, None)
     return out
+
+
+# the commuting constant coefficients of the mlxx4d pencil, and a C0 that
+# does not commute with A0
+_A0, _C0 = np.diag([0.6, -0.3, 0.9]), np.diag([-0.8, 0.5, 0.2])
+_C0_SKEWED = np.array([[-0.8, 0.4, 0.0], [0.4, 0.5, 0.0], [0.0, 0.0, 0.2]])
+
+
+def _mlxx4d_fixture(n, control=None):
+    """The flat mlxx4d connection with matrix coefficients at n points per
+    axis: the operators R (d1 - A0 d3) R^-1 and R (d2 - C0 d4) R^-1 commute,
+    so A = R A0 R^T, B = hat(a1) - A hat(a3), C = R C0 R^T and
+    D = hat(a2) - C hat(a4) solve every line.  control "flipped" flips the
+    sign of A hat(a3) in B, "constant" leaves A at A0, and "noncommuting"
+    takes a C0 that does not commute with A0."""
+    h = 1.0 / (n - 1)
+    g4 = sg.GridSpec.make(*(sg.Axis(f"xi{i}", n, h) for i in (1, 2, 3, 4)))
+    (a1, a2, a3, a4), R = _rotation_field(g4)
+    Rt = np.swapaxes(R, -1, -2)
+    A = np.broadcast_to(_A0, R.shape) if control == "constant" else R @ _A0 @ Rt
+    C = R @ (_C0_SKEWED if control == "noncommuting" else _C0) @ Rt
+    sign = -1.0 if control == "flipped" else 1.0
+    B = liealg.hat(a1) - sign * A @ liealg.hat(a3)
+    D = liealg.hat(a2) - C @ liealg.hat(a4)
+    return {k: sg.MatrixField(g4, np.ascontiguousarray(v))
+            for k, v in zip("ABCD", (A, B, C, D))}
 
 
 def _worst(system, fixture):
@@ -510,6 +535,31 @@ def test_flat_connection_controls_stay_order_one(control):
     fixtures = _flat_fixtures(_FLAT_LEVELS[1], control)
     for system in systems:
         assert _worst(system, fixtures[system]) > 0.1, system
+
+
+def test_flat_mlxx4d_with_matrix_coefficients_refines():
+    # lines a, b and d are second-order discretization error (1.4e-2,
+    # 3.7e-3, 9.5e-4 for a; ratios 3.75-3.92); line c is [A, C] =
+    # R [A0, C0] R^T, zero up to round-off
+    maxima = {}
+    for n in _FLAT_LEVELS:
+        for key, r in zerocurv.residual_lines("mlxx4d", _mlxx4d_fixture(n)):
+            maxima.setdefault(key, []).append(float(np.abs(r).max()))
+            del r
+    assert set(maxima) == {"a", "b", "c", "d"}
+    assert max(maxima["c"]) <= 1e-14, maxima
+    for key in ("a", "b", "d"):
+        m = maxima[key]
+        for coarse, fine in zip(m, m[1:]):
+            assert RATIO_WINDOW[0] <= coarse / fine <= RATIO_WINDOW[1], maxima
+
+
+@pytest.mark.parametrize("control", ["flipped", "constant", "noncommuting"])
+def test_flat_mlxx4d_controls_stay_order_one(control):
+    # the oracle reads 4.0e-3 at n = 13; a wrong B sign, an unrotated A or a
+    # C0 off A0's eigenbasis leave an order-one bracket
+    conn = _mlxx4d_fixture(_FLAT_LEVELS[1], control)
+    assert _worst("mlxx4d", (conn, None)) > 0.1
 
 
 # --- embedding ----------------------------------------------------------------
