@@ -36,7 +36,6 @@ from solgeo import __version__  # noqa: E402
 from solgeo import grid as sg  # noqa: E402
 from solgeo.errors import ConstraintError, DomainError, NumericalError  # noqa: E402
 
-TOL_ALGEBRAIC = 1e-13
 TOL_ANALYTIC = 1e-10
 RATIO_WINDOW = (3.5, 4.5)
 

@@ -27,6 +27,14 @@ def _nonzero(value, name):
     return value
 
 
+def _r2_sign(params):
+    """The mi signature sign params["r2"] (default +1): exactly +1 or -1."""
+    r2 = params.get("r2", 1)
+    if r2 not in (1, -1):
+        raise DomainError(f"r2 must be +1 or -1, got {r2!r}")
+    return 1 if r2 == 1 else -1
+
+
 # --- derivatives: d(f, axis) ------------------------------------------------
 
 def _fd(grid):
@@ -34,52 +42,43 @@ def _fd(grid):
     return lambda f, axis: sg.partial_data(np.asarray(f), grid, axis)
 
 
-class SpectralOps:
-    """FFT derivatives along the periodic axes of a grid, on arrays whose
-    leading axes follow the grid (trailing matrix axes ride along), and
-    trigonometric interpolation at off-node coordinates.  The wavenumbers
-    of each periodic axis are computed once per instance."""
+def _wavenumbers(grid, axis, ndim):
+    """Angular wavenumbers of a periodic axis of grid in FFT order, shaped
+    to run along that axis of an ndim-dimensional array."""
+    i = grid.index(axis)
+    ax = grid.axes[i]
+    if not ax.periodic:
+        raise DomainError(f"spectral operations need a periodic axis; "
+                          f"{axis!r} is open")
+    shape = [1] * ndim
+    shape[i] = -1
+    return (2 * np.pi * np.fft.fftfreq(ax.n, d=ax.h)).reshape(shape)
 
-    def __init__(self, grid: sg.GridSpec):
-        self.grid = grid
-        self._k = {ax.name: 2 * np.pi * np.fft.fftfreq(ax.n, d=ax.h)
-                   for ax in grid.axes if ax.periodic}
-        self._ik = {name: 1j * k for name, k in self._k.items()}
 
-    def _along(self, table, axis, ndim):
-        """The table entry of a periodic axis, shaped to run along that
-        axis of an ndim-dimensional array."""
-        i = self.grid.index(axis)
-        if axis not in table:
-            raise DomainError(f"spectral operations need a periodic axis; "
-                              f"{axis!r} is open")
-        shape = [1] * ndim
-        shape[i] = -1
-        return table[axis].reshape(shape)
-
-    def wavenumbers(self, axis, ndim):
-        """Angular wavenumbers of a periodic axis in FFT order, shaped to
-        run along that axis of an ndim-dimensional array."""
-        return self._along(self._k, axis, ndim)
-
-    def d(self, f, axis):
+def _spectral(grid):
+    """The FFT derivative d(f, axis) along the periodic axes of grid, on
+    arrays whose leading axes follow the grid (trailing matrix axes ride
+    along)."""
+    def d(f, axis):
         f = np.asarray(f)
-        i = self.grid.index(axis)
-        return np.fft.ifft(self._along(self._ik, axis, f.ndim)
+        i = grid.index(axis)
+        return np.fft.ifft(1j * _wavenumbers(grid, axis, f.ndim)
                            * np.fft.fft(f, axis=i), axis=i)
+    return d
 
-    def interp(self, f, axis, at):
-        """The band-limited interpolant of f along a periodic axis (the
-        Nyquist mode as a cosine) at the coordinates `at`: the axes of `at`
-        lead, followed by the other axes of f."""
-        f = np.asarray(f)
-        i, ax = self.grid.index(axis), self.grid.axis(axis)
-        k = self.wavenumbers(axis, f.ndim).ravel()
-        s = np.asarray(at, dtype=float)[..., None] - ax.origin
-        w = np.exp(1j * k * s)
-        if ax.n % 2 == 0:
-            w[..., ax.n // 2] = np.cos(k[ax.n // 2] * s[..., 0])
-        return np.tensordot(w, np.fft.fft(f, axis=i) / ax.n, axes=(-1, i))
+
+def _interp(f, grid, axis, at):
+    """The band-limited interpolant of f along a periodic axis of grid (the
+    Nyquist mode as a cosine) at the coordinates `at`: the axes of `at`
+    lead, followed by the other axes of f."""
+    f = np.asarray(f)
+    i, ax = grid.index(axis), grid.axis(axis)
+    k = _wavenumbers(grid, axis, f.ndim).ravel()
+    s = np.asarray(at, dtype=float)[..., None] - ax.origin
+    w = np.exp(1j * k * s)
+    if ax.n % 2 == 0:
+        w[..., ax.n // 2] = np.cos(k[ax.n // 2] * s[..., 0])
+    return np.tensordot(w, np.fft.fft(f, axis=i) / ax.n, axes=(-1, i))
 
 
 def _m1_op(d, f, alpha, a, b):
@@ -184,6 +183,8 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
         res = {"q": 1j * d(q, "t") + m1q + v * q, "p": r2,
                "v": (_m2_op(d, v, alpha, a, b)
                      + 2 * _m1_op(d, p * q, alpha, a, b))}
+    elif eq not in _SPIN_EQS:
+        raise DomainError(f"unknown equation id {eq!r}")
     elif mode != "fd":
         raise DomainError(f"{eq}: analytic mode not supported")
     else:
@@ -193,9 +194,12 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
     return res
 
 
+_SPIN_EQS = ("ishimori", "mix", "mviii", "mxxxiv", "mi")
+
+
 def _spin_residual(eq, fields, params, grid, d, alpha):
-    """pde_residual of the spin systems, FD only: the only residuals here
-    that call liealg."""
+    """pde_residual of the spin systems _SPIN_EQS, FD only: the only
+    residuals here that call liealg."""
     from solgeo import liealg
 
     if eq == "ishimori":
@@ -235,18 +239,15 @@ def _spin_residual(eq, fields, params, grid, d, alpha):
             r2 = d(w, "t") + d(w, "y") + 0.5 * d(_dot(Sy, Sy), "y")
         return {"S": r1, "w": r2}
 
-    if eq == "mi":
-        S, u = fields["S"], fields["u"]
-        r2sign = int(params.get("r2", 1))
-        Sm = liealg.spin_matrix(S, r2sign)
-        Sx, Sy = d(Sm, "x"), d(Sm, "y")
-        inner = liealg.commutator(Sm, Sy) + 2j * u[..., None, None] * Sm
-        r1 = 1j * d(Sm, "t") - d(inner, "x")
-        tr = np.trace(Sm @ liealg.commutator(Sx, Sy), axis1=-2, axis2=-1)
-        r2 = d(u, "x") - 0.5j * tr
-        return {"S": r1, "u": r2}
-
-    raise DomainError(f"unknown equation id {eq!r}")
+    # mi
+    S, u = fields["S"], fields["u"]
+    Sm = liealg.spin_matrix(S, _r2_sign(params))
+    Sx, Sy = d(Sm, "x"), d(Sm, "y")
+    inner = liealg.commutator(Sm, Sy) + 2j * u[..., None, None] * Sm
+    r1 = 1j * d(Sm, "t") - d(inner, "x")
+    tr = np.trace(Sm @ liealg.commutator(Sx, Sy), axis1=-2, axis2=-1)
+    r2 = d(u, "x") - 0.5j * tr
+    return {"S": r1, "u": r2}
 
 
 # --- Lax matrix builders -----------------------------------------------------
@@ -287,9 +288,7 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
 
     if eq == "mi":
         S, u = fields["S"], fields["u"]
-        r2sign = int(params.get("r2", 1))
-        if r2sign not in (1, -1):
-            raise DomainError("r2 must be +1 or -1")
+        r2sign = _r2_sign(params)
         # r is lifted as 1 (r2=+1) or i (r2=-1) inside the complex Lax
         # matrices; the stored spin field itself never carries the i.
         r = 1.0 if r2sign == 1 else 1.0j
@@ -338,9 +337,8 @@ def _solve_first_order(pq, grid, cx, cy, rx, ry):
     gauge; the wavenumbers follow the axis order, other axes are batch."""
     if not (grid.axis("x").periodic and grid.axis("y").periodic):
         raise DomainError("diagonal temporal entries need doubly periodic x, y")
-    spec = SpectralOps(grid)
-    KX = spec.wavenumbers("x", pq.ndim)
-    KY = spec.wavenumbers("y", pq.ndim)
+    KX = _wavenumbers(grid, "x", pq.ndim)
+    KY = _wavenumbers(grid, "y", pq.ndim)
     axes = (grid.index("x"), grid.index("y"))
     pq_hat = np.fft.fft2(pq, axes=axes)
     rhs_hat = 1j * (rx * (1j * KX) + ry * (1j * KY)) * pq_hat
@@ -411,7 +409,7 @@ def lax_commutation_defect(eq: str, fields: dict, params: dict,
     wavefunction, from the identity, across the cell LAX_CELL at the origin
     (RK4, `substeps` steps per sweep); the fields are callables f(x, y, t)
     that broadcast over array arguments.  Each sweep's stage generators come
-    from build_lax with SpectralOps.
+    from build_lax with the FFT derivative d=_spectral(grid).
 
     zi: the x-problem and the t-problem, the latter along its
     characteristics, as pointwise sweeps on n_line sampled lines y.
@@ -454,7 +452,7 @@ def _zi_defect(fields, params, n_line, substeps):
         feet = y + lam * (span["t"] - (s if axis == "t" else at))
         lax = build_lax("zi", _sample(fields, ("q", "p", "v"), grid,
                                       {other: at, "y": feet}),
-                        grid=grid, d=SpectralOps(grid).d)
+                        grid=grid, d=_spectral(grid))
         m = lax["A2"] if axis == "t" else lax["A1"] - lam * lax["A3"]
         gr[:, :, i], gi[:, :, i] = m.real, m.imag
         del lax, m
@@ -468,17 +466,16 @@ def _zii_defect(fields, params, n_line, substeps):
     alpha = _nonzero(get_alpha(params), "alpha (alpha_re + i alpha_im)")
     span = dict(zip(("y", "t"), LAX_CELL))
     line = _periodic_line("x", n_line)
-    d_line = SpectralOps(sg.GridSpec.make(line)).d
+    d_line = _spectral(sg.GridSpec.make(line))
     cell = sg.GridSpec.make(_stage_axis("t", span["t"], substeps), line,
                             _periodic_line("y", n_line))
-    spec = SpectralOps(cell)
     lax = build_lax("zii", _sample(fields, ("q", "p"), cell, {}), params,
-                    grid=cell, d=spec.d)
+                    grid=cell, d=_spectral(cell))
     # B1 and C2 are constant: one matrix per line node
     B1, C2 = lax["B1"][0, :, 0], lax["C2"][0, :, 0]
     # B0 at (y stage, t stage), read at the two t ends of the cell
-    b0_y = spec.interp(lax["B0"], "y",
-                       _stage_axis("y", span["y"], substeps).coords())
+    b0_y = _interp(lax["B0"], cell, "y",
+                   _stage_axis("y", span["y"], substeps).coords())
 
     def sweep_y(g, jt):
         b0 = b0_y[:, jt]
@@ -486,7 +483,7 @@ def _zii_defect(fields, params, n_line, substeps):
                       g, span["y"], substeps)
 
     def sweep_t(g, y):
-        c1, c0 = (spec.interp(lax[k], "y", y) for k in ("C1", "C0"))
+        c1, c0 = (_interp(lax[k], cell, "y", y) for k in ("C1", "C0"))
 
         def rhs(j, gg):
             gx = d_line(gg, "x")

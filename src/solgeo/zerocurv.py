@@ -209,14 +209,6 @@ class Curvature2Form:
     grid: sg.GridSpec
     comps: dict  # keys "12".."34", values grid.shape + (m, m)
 
-    def get(self, mu: int, nu: int) -> np.ndarray:
-        if mu == nu:
-            return np.zeros_like(self.comps["12"])
-        key = f"{mu}{nu}"
-        if key in self.comps:
-            return self.comps[key]
-        return -self.comps[f"{nu}{mu}"]
-
 
 def curvature(pot: dict) -> Curvature2Form:
     """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] for a four-potential

@@ -106,9 +106,11 @@ def test_planewave_fd_residual_converges(eq):
 def test_pde_residual_error_paths():
     grid = _grid(6)
     zero = np.zeros(grid.shape, dtype=complex)
-    with pytest.raises(DomainError):
-        solitons.pde_residual("nope", {"q": zero, "p": zero, "v": zero},
-                              grid=grid)
+    # both modes name an unknown equation as such
+    for mode in ("fd", "analytic"):
+        with pytest.raises(DomainError, match="unknown equation id 'nope'"):
+            solitons.pde_residual("nope", {"q": zero, "p": zero, "v": zero},
+                                  mode=mode, grid=grid)
     with pytest.raises(DomainError, match="grid required"):
         solitons.pde_residual("ds", {"q": zero, "p": zero, "v": zero})
     with pytest.raises(DomainError, match="analytic mode not supported"):
@@ -342,23 +344,25 @@ def test_spectral_ops_exact_on_matrix_stack():
     f = np.exp(1j * (2 * x - 3 * y)) + t * np.cos(x + 4 * y)
     fx = 2j * np.exp(1j * (2 * x - 3 * y)) - t * np.sin(x + 4 * y)
     fy = -3j * np.exp(1j * (2 * x - 3 * y)) - 4 * t * np.sin(x + 4 * y)
-    ops = solitons.SpectralOps(grid)
-    assert np.abs(ops.d(stack(f), "x") - stack(fx)).max() <= 1e-12
-    assert np.abs(ops.d(stack(f), "y") - stack(fy)).max() <= 1e-12
+    d = solitons._spectral(grid)
+    assert np.abs(d(stack(f), "x") - stack(fx)).max() <= 1e-12
+    assert np.abs(d(stack(f), "y") - stack(fy)).max() <= 1e-12
     with pytest.raises(DomainError, match="periodic"):
-        ops.d(f, "t")
+        d(f, "t")
     with pytest.raises(DomainError, match="periodic"):
-        ops.wavenumbers("t", 3)
-    # the wavenumbers kept per instance give the bits of computing them
-    # afresh on every call
+        solitons._wavenumbers(grid, "t", 3)
+    with pytest.raises(DomainError, match="periodic"):
+        solitons._interp(f, grid, "t", [0.05])
+    # the derivative gives the bits of the FFT formula written out with
+    # the wavenumbers in FFT order
     k = 2 * np.pi * np.fft.fftfreq(12, d=2 * np.pi / 12)
     fresh = np.fft.ifft(1j * k.reshape(1, 12, 1, 1, 1)
                         * np.fft.fft(stack(f), axis=1), axis=1)
-    assert np.array_equal(ops.d(stack(f), "x"), fresh)
+    assert np.array_equal(d(stack(f), "x"), fresh)
     # off-node values, the Nyquist cosine included
     g = lambda x, y: np.exp(1j * (2 * x - 3 * y)) + np.cos(5 * (y - 0.3))
     at = np.array([0.0, 0.41, 2.9])
-    got = ops.interp(stack(g(x, y)), "y", at)
+    got = solitons._interp(stack(g(x, y)), grid, "y", at)
     assert got.shape == (3, 5, 12, 2, 2)
     for i, yv in enumerate(at):
         assert np.abs(got[i] - stack(g(x[..., 0], yv))).max() <= 1e-12
@@ -399,14 +403,18 @@ def test_build_lax_bare_arrays_need_a_grid():
 
 
 @pytest.mark.parametrize("fields,params", [({"r2": 1}, {"r2": 0}),
-                                           ({}, {"r2": 5})])
+                                           ({}, {"r2": 5}),
+                                           ({}, {"r2": 1.5}),
+                                           ({}, {"r2": -1.7})])
 def test_mi_r2_outside_the_two_signs_is_domain_error(fields, params):
-    # the Lax builder and the residual refuse the same signature sign, and
-    # a valid r2 among the fields does not stand in for it
+    # the Lax builder and the residual refuse the same signature sign, a
+    # fractional one is not truncated to +1 or -1, and a valid r2 among
+    # the fields does not stand in for it
     grid = _grid(6)
     f = {**cases.uniform_spin(grid), **fields}
     for build in (solitons.build_lax, solitons.pde_residual):
-        with pytest.raises(DomainError, match="r2 must be"):
+        with pytest.raises(DomainError,
+                           match=rf"r2 must be \+1 or -1, got {params['r2']}"):
             build("mi", f, params, grid=grid)
 
 
@@ -441,7 +449,7 @@ def _zi_sequential_defect(fields, params, n_line, substeps,
     lam = params.get("lam", 0.3)
     span = dict(zip(("x", "t"), solitons.LAX_CELL))
     line = solitons._periodic_line("y", n_line)
-    d_line = solitons.SpectralOps(sg.GridSpec.make(line)).d
+    d_line = solitons._spectral(sg.GridSpec.make(line))
     shift = lam if characteristics else 0.0
 
     def lax(axis, fixed):
@@ -452,7 +460,7 @@ def _zi_sequential_defect(fields, params, n_line, substeps,
         sampled = {k: np.broadcast_to(fields[k](c["x"], c["y"], c["t"]),
                                       grid.shape) for k in ("q", "p", "v")}
         return solitons.build_lax("zi", sampled, grid=grid,
-                                  d=solitons.SpectralOps(grid).d)
+                                  d=solitons._spectral(grid))
 
     def sweep_x(g, t):
         m = lax("x", {"t": t})
@@ -572,7 +580,7 @@ def _zii_stagewise_defect(params, n, substeps, cell=(0.2, 0.2)):
         lax = solitons.build_lax(
             "zii", {"q": _zii_oracle_q(xm, ym, t),
                     "p": _zii_oracle_p(xm, ym, t)},
-            params, grid=grid, d=solitons.SpectralOps(grid).d)
+            params, grid=grid, d=solitons._spectral(grid))
         return {key: m[:, 0] for key, m in lax.items()}
 
     def rk4(rhs, g, span):

@@ -669,15 +669,6 @@ def test_curvature_abelian_gradient_is_flat():
     assert worst < 1e-12
 
 
-def test_curvature_antisymmetry_access():
-    g = _grid4(6)
-    rng = np.random.default_rng(6)
-    pot = cases.random_connection(g, rng, names=("A1", "A2", "A3", "A4"))
-    F = zerocurv.curvature(pot)
-    assert np.array_equal(F.get(2, 1), -F.get(1, 2))
-    assert np.abs(F.get(3, 3)).max() == 0
-
-
 def test_hodge_is_involution():
     g = _grid4(6)
     rng = np.random.default_rng(7)
