@@ -255,6 +255,30 @@ SURFACE_CASES = {"sphere-patch": sphere_patch, "cylinder": cylinder,
                  "plane": plane}
 
 
+def surface_shape_error(name: str, result: frames.ReconstructionResult
+                        ) -> float:
+    """Worst distance of a reconstructed surface case from its known shape,
+    anchored at the first point r0 and its unit normal n0: for the unit
+    sphere, from radius 1 about r0 + n0; for the unit cylinder, from radius
+    1 about the axis through r0 - n0 along r[0, 1] - r[0, 0]; for the
+    plane, from the plane through r0 normal to n0."""
+    r = result.position.data
+    r0, n0 = r[0, 0], result.normal[0, 0]
+    if name == "sphere-patch":
+        dist = np.linalg.norm(r - (r0 + n0), axis=-1) - 1.0
+    elif name == "cylinder":
+        axis = r[0, 1] - r0
+        axis = axis / np.linalg.norm(axis)
+        rel = r - (r0 - n0)
+        perp = rel - (rel @ axis)[..., None] * axis
+        dist = np.linalg.norm(perp, axis=-1) - 1.0
+    elif name == "plane":
+        dist = (r - r0) @ n0
+    else:
+        raise DomainError(f"no known shape for surface case {name!r}")
+    return float(np.abs(dist).max())
+
+
 def random_smooth(grid: sg.GridSpec, rng, scale: float = 1.0) -> np.ndarray:
     """Seeded band-limited random field: a sum of four low-wavenumber
     complex exponentials amp * exp(i k.x), smooth on any grid.

@@ -177,7 +177,8 @@ def _check_lax(args):
         lv = levels - 1
         bad = solitons.lax_commutation_defect(
             "zi", bad_pw["callables"], {"lam": 0.3},
-            n_line=args.n * 2**lv, substeps=4 * 2**lv)
+            n_line=args.n * 2**lv,
+            substeps=solitons.LAX_SUBSTEPS * 2**lv)
         finest = report["defects"][-1]
         # refinement_study's ratio rule: nan unless bad is finite and
         # finest positive
@@ -237,6 +238,7 @@ def cmd_surface(args):
     if args.out:
         frames.export_obj(args.out, result.position)
     hmax = max(a.h for a in s.grid.axes)
+    shape = cases.surface_shape_error(args.case, result)
     checks = [{
         "name": f"surface-{args.case}-mixed-partial",
         "max": result.mixed_partial_defect,
@@ -248,6 +250,14 @@ def cmd_surface(args):
         "tol": 1.0,
         "flagged": result.gmce_flagged,
         "passed": bool(result.gmce_residual_max <= 1.0),
+    }, {
+        # the two checks above hold for any compatible forms, so a sign slip
+        # that keeps them compatible (the cylinder's L or p11) fails here
+        # alone
+        "name": f"surface-{args.case}-shape",
+        "max": shape,
+        "tol": hmax**2,
+        "passed": bool(shape <= hmax**2),
     }]
     return checks
 
@@ -381,24 +391,27 @@ def _build_parser():
     return p, sub.choices
 
 
-def _config_defaults(path, parsed):
-    """Flag defaults from a JSON object file, for the flags in parsed (the
-    subcommand's namespace as a dict).
+def _config_defaults(path, subparser):
+    """Flag defaults from a JSON object file, for the options of subparser.
 
     Values are handed to argparse as command-line text, so each flag's
-    type= applies to them; null keeps the flag's own default, and a
-    store_true flag takes only true or false.
+    type= applies to them; null keeps the flag's own default, a store_true
+    flag takes only true or false, and any other key that names no option
+    of the subcommand is refused rather than ignored.
     """
     with open(path) as fh:
         conf = json.load(fh)
     if not isinstance(conf, dict):
         raise ValueError("top level is not a JSON object")
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
     out = {}
     for key, val in conf.items():
         dest = key.replace("-", "_")
-        if val is None or dest not in parsed or dest in ("config", "command"):
+        if val is None and dest in actions:
             continue
-        if isinstance(parsed[dest], bool):
+        if dest not in actions or not actions[dest].option_strings:
+            raise ValueError(f"{key}: not an option of {subparser.prog}")
+        if actions[dest].nargs == 0:
             if not isinstance(val, bool):
                 raise ValueError(f"{key}: expected true or false")
             out[dest] = val
@@ -432,7 +445,7 @@ def main(argv=None) -> int:
                 if a.dest != "help"}
     if args.config:
         try:
-            conf = _config_defaults(args.config, vars(args))
+            conf = _config_defaults(args.config, commands[args.command])
         except (OSError, ValueError) as exc:
             print(f"solgeo: cannot read config: {exc}", file=sys.stderr)
             return 2

@@ -73,6 +73,10 @@ def propagate_frenet(start: FrameTriad, coeffs, beta: int, h: float) -> FrameFie
     """Advance a frame along one axis with per-step exponentials of the
     midpoint-averaged skew matrix (Lie-group midpoint, order 2; exact for
     constant coefficients)."""
+    if start.beta != beta:
+        # the field carries one signature, which the start frame must share
+        raise DomainError(f"start frame has beta = {start.beta}, "
+                          f"propagation beta = {beta}")
     coeffs = list(coeffs)
     if len(coeffs) < 4:
         # the frames live on a grid axis, which needs n >= 4

@@ -358,6 +358,9 @@ def _solve_first_order(pq, grid, cx, cy, rx, ry):
 
 # the (first, second) extents of the cell that both sweep orders cross
 LAX_CELL = (0.2, 0.2)
+# RK4 steps per sweep at the first level of a Lax refinement study; the
+# count doubles per level with the line resolution
+LAX_SUBSTEPS = 4
 
 
 def _periodic_line(name, n):
@@ -496,14 +499,13 @@ def _zii_defect(fields, params, n_line, substeps):
     return float(np.abs(ga - gb).max())
 
 
-def lax_refinement_report(eq, fields, params, levels=3, n_line=16,
-                          substeps=4) -> dict:
-    """Defect across refinement levels (line resolution and step count both
-    double per level; the cell stays fixed)."""
+def lax_refinement_report(eq, fields, params, levels=3, n_line=16) -> dict:
+    """Defect across refinement levels (line resolution and step count,
+    from LAX_SUBSTEPS, both double per level; the cell stays fixed)."""
     return sg.refinement_study(
         lambda lv: lax_commutation_defect(
             eq, fields, params, n_line=n_line * 2**lv,
-            substeps=substeps * 2**lv), levels)
+            substeps=LAX_SUBSTEPS * 2**lv), levels)
 
 
 # --- spin <-> soliton coefficient maps ---------------------------------------

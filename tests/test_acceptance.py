@@ -18,8 +18,8 @@ def _report(num, name, ok, detail=""):
     assert ok, f"criterion {num} {name}: {detail}"
 
 
-def _in_window(r, lo=3.5, hi=4.5):
-    return lo <= r <= hi
+def _in_window(r):
+    return cli.RATIO_WINDOW[0] <= r <= cli.RATIO_WINDOW[1]
 
 
 # 1 -----------------------------------------------------------------------------
@@ -259,28 +259,16 @@ def test_criterion_09_hodge():
 # 10 ----------------------------------------------------------------------------
 
 def test_criterion_10_surface_reconstruction():
-    sphere_errs, cyl_errs, hs = [], [], []
+    sphere_errs, cyl_errs = [], []
     mixed_ok = True
     for n in (9, 17, 33):
-        s = cases.sphere_patch(n)
-        res = frames.reconstruct_surface(s)
-        center = res.position.data[0, 0] + res.normal[0, 0]
-        d = np.linalg.norm(res.position.data - center, axis=-1)
-        sphere_errs.append(float(np.abs(d - 1.0).max()))
-        hmax = max(a.h for a in s.grid.axes)
-        hs.append(hmax)
-        mixed_ok = mixed_ok and res.mixed_partial_defect <= 10.0 * hmax**2
-
-        c = cases.cylinder(n)
-        rc = frames.reconstruct_surface(c)
-        p0 = rc.position.data[0, 0] - rc.normal[0, 0]
-        axis = rc.position.data[0, 1] - rc.position.data[0, 0]
-        axis = axis / np.linalg.norm(axis)
-        rel = rc.position.data - p0
-        perp = rel - np.tensordot(rel, axis, axes=(-1, 0))[..., None] * axis
-        cyl_errs.append(float(np.abs(np.linalg.norm(perp, axis=-1) - 1.0).max()))
-        hc = max(a.h for a in c.grid.axes)
-        mixed_ok = mixed_ok and rc.mixed_partial_defect <= 10.0 * hc**2
+        for name, errs in (("sphere-patch", sphere_errs),
+                           ("cylinder", cyl_errs)):
+            s = cases.SURFACE_CASES[name](n)
+            res = frames.reconstruct_surface(s)
+            errs.append(cases.surface_shape_error(name, res))
+            hmax = max(a.h for a in s.grid.axes)
+            mixed_ok = mixed_ok and res.mixed_partial_defect <= 10.0 * hmax**2
 
     rs = [sphere_errs[i] / sphere_errs[i + 1] for i in range(2)]
     rcyl = [cyl_errs[i] / cyl_errs[i + 1] for i in range(2)]

@@ -396,10 +396,10 @@ def test_readme_check_command_lines_run(tmp_path, monkeypatch):
     with open(os.path.join(ROOT, "README.md")) as fh:
         lines = [ln.split()[1:] for ln in fh
                  if ln.startswith("solgeo check ")]
-    assert len(lines) == 5
+    assert len(lines) == 8
     monkeypatch.chdir(tmp_path)
     with contextlib.redirect_stdout(io.StringIO()):
-        assert [run(argv) for argv in lines] == [0] * 5
+        assert [run(argv) for argv in lines] == [0] * 8
 
 
 @pytest.mark.parametrize("scale", ["nan", "inf", "-inf"])
@@ -509,6 +509,51 @@ def test_surface_command(tmp_path):
     rep = load_report(rp)
     mixed = next(c for c in rep["checks"] if "mixed-partial" in c["name"])
     assert mixed["max"] <= mixed["tol"]
+
+
+@pytest.mark.parametrize("n", [9, 17, 32])
+@pytest.mark.parametrize("name", ["sphere-patch", "cylinder", "plane"])
+def test_surface_shape_entry(name, n, tmp_path):
+    obj = tmp_path / f"{name}.obj"
+    rp = tmp_path / "r.json"
+    assert run(["surface", "--case", name, "--n", str(n), "--out", str(obj),
+                "--report", str(rp)]) == 0
+    assert obj.is_file()
+    rep = load_report(rp)
+    assert [c["name"] for c in rep["checks"]] == [
+        f"surface-{name}-{k}" for k in ("mixed-partial", "compatibility",
+                                        "shape")]
+    shape = rep["checks"][2]
+    hmax = max(a.h for a in cases.SURFACE_CASES[name](n).grid.axes)
+    assert shape["tol"] == hmax**2
+    assert shape["max"] <= shape["tol"] and shape["passed"] is True
+    if n == 17:
+        if name == "plane":
+            assert shape["max"] == 0.0
+        else:
+            assert shape["max"] < 1e-3
+
+
+@pytest.mark.parametrize("key", ["L", "p11"])
+def test_surface_shape_gate_fails_on_a_compatible_sign_slip(
+        key, tmp_path, monkeypatch, capsys):
+    # a negated L or p11 keeps the cylinder's forms compatible, so only the
+    # shape entry sees the mirrored surface
+    def slipped(n):
+        s = cases.cylinder(n)
+        return dataclasses.replace(s, **{key: -getattr(s, key)})
+    monkeypatch.setitem(cases.SURFACE_CASES, "cylinder", slipped)
+    rp = tmp_path / "r.json"
+    assert run(["surface", "--case", "cylinder", "--n", "32",
+                "--report", str(rp)]) == 1
+    rep = load_report(rp)
+    assert rep["passed"] is False
+    passed = {c["name"]: c["passed"] for c in rep["checks"]}
+    assert passed == {"surface-cylinder-mixed-partial": True,
+                      "surface-cylinder-compatibility": True,
+                      "surface-cylinder-shape": False}
+    assert rep["checks"][2]["max"] > 0.5
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_surface_compatibility_gate_can_fail(tmp_path, monkeypatch, capsys):
@@ -826,6 +871,29 @@ def test_config_bad_flag_value_is_usage_error(tmp_path, capsys, text):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and "invalid int value" in err
+
+
+@pytest.mark.parametrize("text, argv", [
+    ('{"nn": 8}', ["check", "--eq", "zi", "--case", "planewave-zi"]),
+    ('{"nn": null}', ["check", "--eq", "zi", "--case", "planewave-zi"]),
+    ('{"n": 8, "refine-levels": 2}', ["check", "--kind", "lambda"]),
+    ('{"name": "plane"}', ["case", "uniform-spin", "--out", "fields"]),
+    ('{"config": "other.json"}', ["frame", "--n", "20"]),
+    ('{"out": "x.obj"}', ["check", "--eq", "zi", "--case", "planewave-zi"]),
+])
+def test_config_key_that_names_no_option_is_usage_error(
+        text, argv, tmp_path, monkeypatch, capsys):
+    # such a key used to be dropped and the run went ahead without it
+    monkeypatch.chdir(tmp_path)
+    conf = tmp_path / "conf.json"
+    conf.write_text(text)
+    assert run(["--config", str(conf), *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    key = next(iter(json.loads(text).keys() - {"n"}))
+    assert captured.err.startswith(f"solgeo: cannot read config: {key}: "
+                                   f"not an option of solgeo {argv[0]}")
+    assert not (tmp_path / "fields").exists()
 
 
 @pytest.mark.parametrize("text", ['{"n": 8', '[1, 2]',

@@ -101,6 +101,17 @@ def test_propagate_rejects_short_input(monkeypatch):
                                     1, 0.1)
 
 
+@pytest.mark.parametrize("start_beta, beta", [(-1, 1), (1, -1)])
+def test_propagate_rejects_a_start_frame_of_the_other_beta(start_beta, beta):
+    # the field would carry the argument's beta and drop the frame's
+    with pytest.raises(DomainError, match=f"start frame has beta = "
+                                          f"{start_beta}, propagation beta "
+                                          f"= {beta}"):
+        frames.propagate_frenet(frames.FrameTriad.standard(start_beta),
+                                [liealg.CoeffTriple.y(1, 0, 0)] * 8, beta,
+                                0.1)
+
+
 def _gauge_grid_2d(n):
     h = 1.0 / (n - 1)
     return sg.GridSpec.make(sg.Axis("x", n, h), sg.Axis("y", n, h))
@@ -400,39 +411,78 @@ def test_reconstruct_plane_is_exact_linear():
     assert not res.gmce_flagged
 
 
-def _radius_errors(make, center_of):
-    errs = []
-    for n in (9, 17, 33):
-        res = frames.reconstruct_surface(make(n))
-        c = center_of(res)
-        d = np.linalg.norm(res.position.data - c, axis=-1)
-        errs.append(np.abs(d - 1.0).max())
-    return errs
+def _assert_shape_converges(name):
+    errs = [cases.surface_shape_error(
+        name, frames.reconstruct_surface(cases.SURFACE_CASES[name](n)))
+        for n in (9, 17, 33)]
+    assert errs[-1] < 2e-3
+    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
+    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
 
 
 def test_reconstruct_sphere_radius_converges():
-    def center(res):
-        return res.position.data[0, 0] + res.normal[0, 0]
-
-    errs = _radius_errors(cases.sphere_patch, center)
-    assert errs[-1] < 2e-3
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
+    _assert_shape_converges("sphere-patch")
 
 
 def test_reconstruct_cylinder_radius_converges():
-    errs = []
-    for n in (9, 17, 33):
-        res = frames.reconstruct_surface(cases.cylinder(n))
-        p0 = res.position.data[0, 0] - res.normal[0, 0]
-        axis = res.position.data[0, 1] - res.position.data[0, 0]
-        axis = axis / np.linalg.norm(axis)
-        rel = res.position.data - p0
-        perp = rel - np.tensordot(rel, axis, axes=(-1, 0))[..., None] * axis
-        errs.append(np.abs(np.linalg.norm(perp, axis=-1) - 1.0).max())
-    assert errs[-1] < 2e-3
-    assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.3)
-    assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.3)
+    _assert_shape_converges("cylinder")
+
+
+def _result(r, normal):
+    g = sg.GridSpec.make(sg.Axis("x", r.shape[0], 0.1),
+                         sg.Axis("y", r.shape[1], 0.1))
+    return frames.ReconstructionResult(frames.PositionField(g, r), normal,
+                                       0.0, 0.0, False)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-3, -0.02, 0.5])
+def test_shape_error_reads_the_offset_of_exact_points(delta):
+    # every point off the first row lies at radius 1 + delta; the anchor
+    # r[0, 0] and its unit normal fix the centre or, with r[0, 1], the axis
+    a, b = np.meshgrid(np.linspace(-0.5, 0.5, 6), np.linspace(0.1, 1.0, 5),
+                       indexing="ij")
+    rho = np.full(a.shape, 1.0 + delta)
+    rho[0] = 1.0
+    centre = np.array([0.3, -1.2, 2.0])
+    u = np.stack([np.cos(a) * np.cos(b), np.cos(a) * np.sin(b), np.sin(a)],
+                 axis=-1)
+    sphere = centre + rho[..., None] * u
+    # inward normal: r0 + n0 is the centre
+    got = cases.surface_shape_error("sphere-patch",
+                                    _result(sphere, -np.broadcast_to(
+                                        u, sphere.shape)))
+    assert got == pytest.approx(abs(delta), abs=1e-14)
+    # unit cylinder around the axis (0, 0, 1) through centre: x is the
+    # angle and y the height, so r[0, 1] - r[0, 0] runs along the axis
+    w = np.stack([np.cos(a), np.sin(a), np.zeros_like(a)], axis=-1)
+    cyl = centre + rho[..., None] * w
+    cyl[..., 2] += b
+    got = cases.surface_shape_error(
+        "cylinder", _result(cyl, np.broadcast_to(w, cyl.shape)))
+    assert got == pytest.approx(abs(delta), abs=1e-14)
+
+
+def test_shape_error_reads_a_tilted_plane_offset():
+    # the plane through r0 with unit normal n0, tilted off every axis; one
+    # point sits off it by `off` along n0
+    n0 = np.array([1.0, 2.0, 2.0]) / 3.0
+    t1 = np.array([2.0, -1.0, 0.0]) / np.sqrt(5.0)
+    t2 = np.cross(n0, t1)
+    a, b = np.meshgrid(np.arange(5.0), np.arange(4.0), indexing="ij")
+    r = np.array([0.5, 0.5, -1.0]) + a[..., None] * t1 + b[..., None] * t2
+    normal = np.broadcast_to(n0, r.shape)
+    assert cases.surface_shape_error("plane", _result(r, normal)) \
+        <= 1e-14
+    off = -0.037
+    r[3, 2] += off * n0
+    assert cases.surface_shape_error("plane", _result(r, normal)) \
+        == pytest.approx(abs(off), abs=1e-14)
+
+
+def test_shape_error_rejects_an_unknown_case():
+    res = frames.reconstruct_surface(cases.plane(8))
+    with pytest.raises(DomainError, match="no known shape .*'torus'"):
+        cases.surface_shape_error("torus", res)
 
 
 def test_reconstruct_matches_row_by_row_sweep():

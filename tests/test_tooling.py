@@ -82,39 +82,6 @@ def run_script(name, *args):
         env=env, capture_output=True, text=True, timeout=300)
 
 
-def test_refinement_study_script_ratios():
-    proc = run_script("run_refinement_study.py", "--levels", "2")
-    assert proc.returncode == 0, proc.stderr
-    tables = [[]]
-    for line in proc.stdout.splitlines():
-        if not line.strip():
-            tables.append([])
-            continue
-        cells = line.split()
-        if len(cells) == 3 and cells[2] not in ("-", "ratio"):
-            tables[-1].append(float(cells[2]))
-    flat, spectral, lax = [t for t in tables if t]
-    # two levels give one ratio per study
-    assert len(flat) == len(spectral) == len(lax) == 1
-    assert all(3.5 <= r <= 4.5 for r in flat + spectral)
-    assert lax[0] >= 8.0
-
-
-def test_export_surface_meshes_script(tmp_path):
-    proc = run_script("export_surface_meshes.py", "--n", "17",
-                      "--outdir", str(tmp_path))
-    assert proc.returncode == 0, proc.stderr
-    errors = {}
-    for line in proc.stdout.splitlines()[1:]:
-        name, shape_error, _, path = line.split()
-        errors[name] = float(shape_error)
-        assert os.path.isfile(path)
-    assert sorted(os.listdir(tmp_path)) == [
-        "cylinder.obj", "plane.obj", "sphere-patch.obj"]
-    assert errors["sphere-patch"] < 1e-3 and errors["cylinder"] < 1e-3
-    assert errors["plane"] == 0.0
-
-
 def load_fingerprint():
     path = os.path.join(ROOT, "scripts", "fingerprint.py")
     spec = importlib.util.spec_from_file_location("fingerprint", path)
