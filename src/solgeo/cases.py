@@ -20,9 +20,9 @@ from solgeo.errors import DomainError
 if TYPE_CHECKING:
     from solgeo import frames, zerocurv
 
+# the field cases that `solgeo case` writes; surfaces are SURFACE_CASES
 CASE_NAMES = ("planewave-ds", "planewave-zi", "planewave-strachan",
-              "uniform-spin", "pure-gauge", "rational-lambda",
-              "sphere-patch", "cylinder", "plane")
+              "uniform-spin", "pure-gauge", "rational-lambda")
 
 
 def _points(n: int) -> int:

@@ -40,10 +40,11 @@ TOL_ANALYTIC = 1e-10
 RATIO_WINDOW = (3.5, 4.5)
 
 
-def _check_entry(name, norms, tol):
-    return {"name": name, "max": norms["max"], "l2": norms.get("l2"),
-            "argmax": norms.get("argmax"), "tol": tol,
-            "passed": bool(norms["max"] <= tol)}
+def _gate(name, value, tol, **extra):
+    """A report entry whose verdict is value <= tol, with extra keys beside
+    it; a nan value compares false, so it fails."""
+    return {"name": name, "max": value, "tol": tol,
+            "passed": bool(value <= tol), **extra}
 
 
 def _write_report(path, config, checks, seed, timing):
@@ -83,8 +84,12 @@ def _check_planewave(args):
         eq, {k: pw[k] for k in ("q", "p", "v")},
         pw["params"], mode="analytic", grid=grid)
     tol = args.tol if args.tol is not None else TOL_ANALYTIC
-    return [_check_entry(f"{eq}-residual-{k}", sg.field_norms(r), tol)
-            for k, r in res.items()]
+    checks = []
+    for k, r in res.items():
+        norms = sg.field_norms(r)
+        checks.append(_gate(f"{eq}-residual-{k}", norms.pop("max"), tol,
+                            **norms))
+    return checks
 
 
 def _refine_levels(args):
@@ -149,11 +154,12 @@ def _check_reduction(args):
     tol = args.tol if args.tol is not None else 1e-15
     checks = []
     for k in ra:
-        entry = _check_entry(f"m3q-{args.case}-{k}",
-                             sg.field_norms(ra[k] - rb[k]), tol)
+        norms = sg.field_norms(ra[k] - rb[k])
+        m3q_max = float(np.abs(ra[k]).max())
+        entry = _gate(f"m3q-{args.case}-{k}", norms.pop("max"), tol,
+                      m3q_max=m3q_max, **norms)
         # an identity between residual lines that vanish shows nothing
-        entry["m3q_max"] = float(np.abs(ra[k]).max())
-        entry["passed"] = entry["passed"] and entry["m3q_max"] > 0
+        entry["passed"] = entry["passed"] and m3q_max > 0
         checks.append(entry)
     return checks
 
@@ -239,27 +245,17 @@ def cmd_surface(args):
         frames.export_obj(args.out, result.position)
     hmax = max(a.h for a in s.grid.axes)
     shape = cases.surface_shape_error(args.case, result)
-    checks = [{
-        "name": f"surface-{args.case}-mixed-partial",
-        "max": result.mixed_partial_defect,
-        "tol": 10.0 * hmax**2,
-        "passed": bool(result.mixed_partial_defect <= 10.0 * hmax**2),
-    }, {
-        "name": f"surface-{args.case}-compatibility",
-        "max": result.gmce_residual_max,
-        "tol": 1.0,
-        "flagged": result.gmce_flagged,
-        "passed": bool(result.gmce_residual_max <= 1.0),
-    }, {
+    return [
+        _gate(f"surface-{args.case}-mixed-partial",
+              result.mixed_partial_defect, 10.0 * hmax**2),
+        # the residual is pure finite-difference error for compatible forms
+        _gate(f"surface-{args.case}-compatibility", result.gmce_residual_max,
+              10.0 * min(a.h for a in s.grid.axes)**2),
         # the two checks above hold for any compatible forms, so a sign slip
         # that keeps them compatible (the cylinder's L or p11) fails here
         # alone
-        "name": f"surface-{args.case}-shape",
-        "max": shape,
-        "tol": hmax**2,
-        "passed": bool(shape <= hmax**2),
-    }]
-    return checks
+        _gate(f"surface-{args.case}-shape", shape, hmax**2),
+    ]
 
 
 # --- case subcommand ----------------------------------------------------------
@@ -267,52 +263,52 @@ def cmd_surface(args):
 def cmd_case(args):
     from solgeo import cases
 
-    name = args.name
+    name, n = args.name, args.n
     if name not in cases.CASE_NAMES:
-        raise DomainError(f"unknown case {name!r}")
-    outdir = args.out or "."
-    os.makedirs(outdir, exist_ok=True)
-    written = []
-
-    def put(fname, field):
-        path = os.path.join(outdir, fname)
-        sg.save_field(path, field)
-        written.append(path)
-
+        hint = (" (surfaces are written by `surface --case NAME --out FILE`)"
+                if name in cases.SURFACE_CASES else "")
+        raise DomainError(f"unknown case {name!r}{hint}")
+    # every field is built before the directory is made, so a refused size
+    # leaves nothing behind
+    params = None
     if name.startswith("planewave"):
-        eq = name.split("-", 1)[1]
-        pw = cases.planewave(eq)
-        grid = cases.default_grid_xyt(args.n)
-        for key in ("q", "p", "v"):
-            put(f"{name}-{key}.field", sg.ScalarField(grid, pw[key].sample(grid)))
-        with open(os.path.join(outdir, f"{name}-params.json"), "w") as fh:
-            json.dump(pw["params"], fh, sort_keys=True, indent=2)
-            fh.write("\n")
-        written.append(os.path.join(outdir, f"{name}-params.json"))
+        pw = cases.planewave(name.split("-", 1)[1])
+        grid = cases.default_grid_xyt(n)
+        fields = {f"{name}-{key}": sg.ScalarField(grid, pw[key].sample(grid))
+                  for key in ("q", "p", "v")}
+        params = pw["params"]
     elif name == "uniform-spin":
-        grid = cases.default_grid_xyt(args.n)
+        grid = cases.default_grid_xyt(n)
         sp = cases.uniform_spin(grid)
-        for i, key in enumerate(("s1", "s2", "s3")):
-            put(f"{name}-{key}.field", sg.ScalarField(grid, sp["S"][..., i]))
-        put(f"{name}-u.field", sg.ScalarField(grid, sp["u"]))
+        fields = {f"{name}-{key}": sg.ScalarField(grid, sp["S"][..., i])
+                  for i, key in enumerate(("s1", "s2", "s3"))}
+        fields[f"{name}-u"] = sg.ScalarField(grid, sp["u"])
     elif name == "pure-gauge":
         from solgeo import liealg
 
-        conn = cases.pure_gauge_connection(cases.default_grid_gauge(args.n))
-        for key, f in conn.items():
-            put(f"{name}-{key}.field", sg.MatrixField(f.grid, liealg.hat(f.data)))
-    elif name == "rational-lambda":
-        f = cases.rational_lambda(grid=cases.default_grid_xi(args.n))
-        put(f"{name}.field", sg.ScalarField(f.grid, f.lam))
+        conn = cases.pure_gauge_connection(cases.default_grid_gauge(n))
+        fields = {f"{name}-{key}": sg.MatrixField(f.grid, liealg.hat(f.data))
+                  for key, f in conn.items()}
     else:
-        from solgeo import frames
-
-        s = cases.SURFACE_CASES[name](args.n)
-        result = frames.reconstruct_surface(s)
-        frames.export_obj(os.path.join(outdir, f"{name}.obj"), result.position)
-        written.append(os.path.join(outdir, f"{name}.obj"))
-    return [{"name": f"case-{name}", "written": written, "max": 0.0,
-             "tol": 0.0, "passed": True}]
+        f = cases.rational_lambda(grid=cases.default_grid_xi(n))
+        fields = {name: sg.ScalarField(f.grid, f.lam)}
+    outdir = args.out or "."
+    os.makedirs(outdir, exist_ok=True)
+    written, worst = [], 0.0
+    for stem, field in fields.items():
+        path = os.path.join(outdir, f"{stem}.field")
+        sg.save_field(path, field)
+        written.append(path)
+        # the entry is what a reader gets back: any bit lost on the way fails
+        worst = max(worst, float(np.abs(sg.load_field(path).data
+                                        - field.data).max()))
+    if params is not None:
+        path = os.path.join(outdir, f"{name}-params.json")
+        with open(path, "w") as fh:
+            json.dump(params, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        written.append(path)
+    return [_gate(f"case-{name}", worst, 0.0, written=written)]
 
 
 # --- frame subcommand ---------------------------------------------------------
@@ -343,8 +339,7 @@ def cmd_frame(args):
                 {"name": "frame-finite",
                  "max": float(np.abs(field.data).max()),
                  "passed": bool(np.isfinite(field.data).all())}]
-    return [{"name": "frame-gram-drift", "max": drift, "tol": tol,
-             "passed": bool(drift <= tol)}]
+    return [_gate("frame-gram-drift", drift, tol)]
 
 
 # --- entry point --------------------------------------------------------------

@@ -257,8 +257,7 @@ class ReconstructionResult:
     position: PositionField
     normal: np.ndarray           # grid.shape + (3,)
     mixed_partial_defect: float  # || d_y r_x - d_x r_y ||_inf from the Z rows
-    gmce_residual_max: float
-    gmce_flagged: bool
+    gmce_residual_max: float     # ||GMCE residual||_inf of the A, B pair
 
 
 def reconstruct_surface(s: SurfaceData) -> ReconstructionResult:
@@ -267,7 +266,7 @@ def reconstruct_surface(s: SurfaceData) -> ReconstructionResult:
     integration of the propagated tangents.
 
     The surface starts at the origin with the standard frame, n along
-    r_x ^ r_y; the GMCE residual is flagged above 10 h_min^2.
+    r_x ^ r_y.
     """
     from solgeo import zerocurv
 
@@ -306,16 +305,12 @@ def reconstruct_surface(s: SurfaceData) -> ReconstructionResult:
     mixed = float(np.abs(rx_y - ry_x).max())
 
     res = zerocurv.zc_residual("gmce", {"A": A, "B": B})["xy"]
-    res_max = float(np.abs(res).max())
-    hmin = min(hx, hy)
-    flagged = res_max > 10.0 * hmin**2
 
     return ReconstructionResult(
         position=PositionField(g, r),
         normal=nrm,
         mixed_partial_defect=mixed,
-        gmce_residual_max=res_max,
-        gmce_flagged=flagged,
+        gmce_residual_max=float(np.abs(res).max()),
     )
 
 

@@ -221,21 +221,29 @@ def save_field(path, field):
 
 
 def load_field(path):
+    """Read a save_field file; a foreign or malformed header, or a payload
+    of another size than the header gives, is a DomainError naming path."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode())
-        if header.get("format") != _MAGIC:
+        try:
+            header = json.loads(fh.readline())
+        except ValueError:
+            raise DomainError(f"{path}: first line is not JSON") from None
+        if not isinstance(header, dict) or header.get("format") != _MAGIC:
             raise DomainError(f"{path}: not a solgeo field file")
-        grid = GridSpec(tuple(
-            Axis(a["name"], a["n"], a["h"], a["periodic"], a["origin"])
-            for a in header["axes"]
-        ))
-        shape = grid.shape
-        if header["kind"] == "matrix":
-            shape = shape + tuple(header["mshape"])
-        data = np.fromfile(fh, dtype=_PAYLOAD[header["value"]]).reshape(shape)
-    if header["kind"] == "matrix":
-        return MatrixField(grid, data)
-    return ScalarField(grid, data)
+        try:
+            grid = GridSpec(tuple(Axis(**a) for a in header["axes"]))
+            matrix = header["kind"] == "matrix"
+            shape = grid.shape + (tuple(header["mshape"]) if matrix else ())
+            data = np.empty(shape, dtype=_PAYLOAD[header["value"]])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DomainError(f"{path}: malformed header "
+                              f"({type(exc).__name__}: {exc})") from None
+        # readinto stops short on a short payload, and read(1) finds the
+        # excess of a long one
+        if fh.readinto(data) != data.nbytes or fh.read(1):
+            raise DomainError(f"{path}: payload is not the {data.nbytes} "
+                              "bytes its header gives")
+    return MatrixField(grid, data) if matrix else ScalarField(grid, data)
 
 
 def save_field_csv(path, field):

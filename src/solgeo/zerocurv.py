@@ -252,7 +252,6 @@ def selfdual_defect(F: Curvature2Form) -> float:
 class SpectralField:
     grid: sg.GridSpec
     kind: str
-    params: dict
     lam: np.ndarray
     mask: np.ndarray  # True where a residual stencil reaches the pole band
 
@@ -337,7 +336,7 @@ def lambda_field(kind: str, params: dict, g: sg.GridSpec) -> SpectralField:
     mask = np.broadcast_to(aden <= 2.0 * band, g.shape).copy()
     if pole.any():
         np.copyto(lam, 0.0, where=pole)
-    return SpectralField(g, kind, dict(params), lam, mask)
+    return SpectralField(g, kind, lam, mask)
 
 
 def lambda_lines(f: SpectralField):

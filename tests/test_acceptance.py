@@ -50,22 +50,21 @@ def test_criterion_01_frame_fidelity():
 # 2 -----------------------------------------------------------------------------
 
 def test_criterion_02_zero_curvature_flatness():
-    res_max, defects, bad_defects = [], [], []
+    # n = 9, 17, 33: the levels of `check --system mlxii --n 8`
+    r_res = sg.refinement_study(
+        lambda lv: cases.pure_gauge_defect("mlxii", 8 * 2**lv + 1),
+        3)["ratios"]
     start = frames.FrameTriad.standard()
-    for n in (9, 17, 33):
-        conn3 = cases.pure_gauge_connection(cases.default_grid_gauge(n))
-        r = zerocurv.zc_residual("mlxii", conn3)
-        res_max.append(max(float(np.abs(a).max()) for a in r.values()))
+
+    def defect_2d(n, perturb):
         h = 1.0 / (n - 1)
         g2 = sg.GridSpec.make(sg.Axis("x", n, h), sg.Axis("y", n, h))
-        conn2 = cases.pure_gauge_connection(g2, axes=("x", "y"))
-        defects.append(frames.commutation_defect_2d(start, conn2["A"],
-                                                    conn2["B"]))
-        bad = cases.pure_gauge_connection(g2, axes=("x", "y"), perturb=0.2)
-        bad_defects.append(frames.commutation_defect_2d(start, bad["A"],
-                                                        bad["B"]))
-    r_res = [res_max[i] / res_max[i + 1] for i in range(2)]
-    r_def = [defects[i] / defects[i + 1] for i in range(2)]
+        conn2 = cases.pure_gauge_connection(g2, axes=("x", "y"),
+                                            perturb=perturb)
+        return frames.commutation_defect_2d(start, conn2["A"], conn2["B"])
+    r_def = sg.refinement_study(lambda lv: defect_2d(8 * 2**lv + 1, 0.0),
+                                3)["ratios"]
+    bad_defects = [defect_2d(n, 0.2) for n in (9, 17, 33)]
     stall = all(abs(bad_defects[i] - bad_defects[i + 1]) < 0.10 * bad_defects[i]
                 for i in range(2))
     ok = (all(_in_window(r) for r in r_res)
@@ -116,27 +115,13 @@ def test_criterion_04_sdym_embedding():
 # 5 -----------------------------------------------------------------------------
 
 def test_criterion_05_lambda_fields():
-    param_sets = [
-        # lam = xi3 / (1 - xi1)
-        {"n1": 1.0, "n3": 0.0, "m1": 0.0, "n4": 1.0},
-        {"n1": 0.8, "n3": 0.4, "m1": 0.5, "n4": 1.3},
-        {"n1": -0.6, "n3": 1.0, "m1": 0.9, "n4": 1.1},
-    ]
     ok = True
     details = []
-    for params in param_sets:
-        maxima, hs = [], []
-        for n in (6, 12, 24):
-            h = 0.35 / (n - 1)
-            g = sg.GridSpec.make(*(sg.Axis(f"xi{i}", n, h)
-                                   for i in (1, 2, 3, 4)))
-            f = zerocurv.lambda_field("sdym_xi", params, g)
-            res = zerocurv.lambda_residual(f)
-            mask = res.pop("mask")
-            maxima.append(max(zerocurv.masked_norms(r, mask)["max"]
-                              for r in res.values()))
-            hs.append(h)
-        ratios = [maxima[i] / maxima[i + 1] for i in range(2)]
+    hs = [0.35 / (n - 1) for n in (6, 12, 24)]
+    for params in cases.LAMBDA_PARAMS:
+        study = sg.refinement_study(
+            lambda lv: cases.lambda_defect(params, 6 * 2**lv), 3)
+        maxima, ratios = study["defects"], study["ratios"]
         C = maxima[0] / hs[0] ** 2
         bound = all(m <= 2.0 * C * h * h for m, h in zip(maxima, hs))
         ok = ok and bound and all(_in_window(r) for r in ratios)

@@ -523,8 +523,12 @@ def test_surface_shape_entry(name, n, tmp_path):
     assert [c["name"] for c in rep["checks"]] == [
         f"surface-{name}-{k}" for k in ("mixed-partial", "compatibility",
                                         "shape")]
-    shape = rep["checks"][2]
-    hmax = max(a.h for a in cases.SURFACE_CASES[name](n).grid.axes)
+    compat, shape = rep["checks"][1:]
+    axes = cases.SURFACE_CASES[name](n).grid.axes
+    hmax = max(a.h for a in axes)
+    assert compat["tol"] == 10 * min(a.h for a in axes)**2
+    assert set(compat) == {"name", "max", "tol", "passed"}
+    assert compat["max"] <= compat["tol"] and compat["passed"] is True
     assert shape["tol"] == hmax**2
     assert shape["max"] <= shape["tol"] and shape["passed"] is True
     if n == 17:
@@ -557,8 +561,8 @@ def test_surface_shape_gate_fails_on_a_compatible_sign_slip(
 
 
 def test_surface_compatibility_gate_can_fail(tmp_path, monkeypatch, capsys):
-    # a compatibility residual above the 1.0 ceiling fails the named check
-    # in a written report instead of aborting the run without one
+    # a compatibility residual above the 10 h_min^2 tol fails the named
+    # check in a written report instead of aborting the run without one
     real = frames.reconstruct_surface
     monkeypatch.setattr(frames, "reconstruct_surface", lambda s:
                         dataclasses.replace(real(s), gmce_residual_max=2.0))
@@ -571,6 +575,23 @@ def test_surface_compatibility_gate_can_fail(tmp_path, monkeypatch, capsys):
     assert compat["name"] == "surface-cylinder-compatibility"
     assert compat["max"] == 2.0 and compat["passed"] is False
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_surface_compatibility_gate_fails_on_incompatible_forms(
+        tmp_path, monkeypatch):
+    # L + 0.5 breaks the Gauss-Codazzi equations: the residual reads 0.51
+    # at n = 17, 13 times 10 h_min^2 = 0.039
+    def shifted(n):
+        s = cases.sphere_patch(n)
+        return dataclasses.replace(s, L=s.L + 0.5)
+    monkeypatch.setitem(cases.SURFACE_CASES, "sphere-patch", shifted)
+    rp = tmp_path / "r.json"
+    assert run(["surface", "--case", "sphere-patch", "--n", "17",
+                "--report", str(rp)]) == 1
+    compat = load_report(rp)["checks"][1]
+    assert compat["name"] == "surface-sphere-patch-compatibility"
+    assert compat["tol"] == 10 * (1 / 16) ** 2
+    assert compat["max"] > 0.5 and compat["passed"] is False
 
 
 def test_surface_unknown_case():
@@ -619,13 +640,72 @@ def test_case_pure_gauge_writes_matrix_fields(tmp_path):
         assert np.array_equal(m.data, liealg.hat(f.data))
 
 
-def test_case_surface_export(tmp_path):
-    assert run(["case", "cylinder", "--n", "9", "--out", str(tmp_path)]) == 0
-    assert (tmp_path / "cylinder.obj").exists()
+@pytest.mark.parametrize("name", cases.CASE_NAMES)
+def test_case_entry_is_the_read_back_difference(name, tmp_path):
+    rp = tmp_path / "r.json"
+    assert run(["case", name, "--n", "6", "--out", str(tmp_path / "out"),
+                "--report", str(rp)]) == 0
+    (entry,) = load_report(rp)["checks"]
+    assert entry["name"] == f"case-{name}"
+    assert entry["max"] == 0.0 and entry["tol"] == 0.0
+    assert entry["passed"] is True
+
+
+def test_case_fails_on_a_payload_that_does_not_read_back(tmp_path,
+                                                        monkeypatch):
+    # one ulp off in every written value is a failed check, not a pass
+    real = sg.save_field
+    monkeypatch.setattr(sg, "save_field", lambda path, f: real(
+        path, dataclasses.replace(f, data=f.data * (1 + 2**-52))))
+    rp = tmp_path / "r.json"
+    assert run(["case", "planewave-ds", "--n", "8", "--out", str(tmp_path),
+                "--report", str(rp)]) == 1
+    (entry,) = load_report(rp)["checks"]
+    assert 0.0 < entry["max"] < 1e-15 and entry["passed"] is False
+
+
+@pytest.mark.parametrize("name", ["sphere-patch", "cylinder", "plane"])
+def test_case_refuses_surfaces(name, tmp_path, capsys):
+    # `surface --case NAME --out` writes the same OBJ and gates it
+    out = tmp_path / "out"
+    assert run(["case", name, "--n", "9", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"solgeo: unknown case {name!r}")
+    assert "surface --case" in err and not out.exists()
 
 
 def test_case_unknown_name():
     assert run(["case", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["case", "planewave-ds", "--n", "2"],
+    ["case", "pure-gauge", "--n", "3"],
+    ["case", "bogus"],
+])
+def test_refused_case_leaves_no_directory(argv, tmp_path, capsys):
+    out = tmp_path / "newdir"
+    assert run([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solgeo:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_case_unreadable_field_is_usage_error(tmp_path, monkeypatch,
+                                              capsys):
+    # a field file that does not load back is a domain error naming it
+    real = sg.save_field
+
+    def short(path, f):
+        real(path, f)
+        with open(path, "r+b") as fh:
+            fh.truncate(os.path.getsize(path) - 8)
+    monkeypatch.setattr(sg, "save_field", short)
+    assert run(["case", "uniform-spin", "--n", "6",
+                "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solgeo: ") and "uniform-spin-s1.field" in err
+    assert "Traceback" not in err
 
 
 def test_frame_command(tmp_path):

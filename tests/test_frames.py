@@ -408,7 +408,8 @@ def test_reconstruct_plane_is_exact_linear():
     expect = np.stack([x, np.zeros_like(x), -y], axis=-1)
     assert np.abs(r - expect).max() < 1e-12
     assert res.mixed_partial_defect < 1e-12
-    assert not res.gmce_flagged
+    hmin = min(a.h for a in res.position.grid.axes)
+    assert res.gmce_residual_max <= 10 * hmin**2
 
 
 def _assert_shape_converges(name):
@@ -432,7 +433,7 @@ def _result(r, normal):
     g = sg.GridSpec.make(sg.Axis("x", r.shape[0], 0.1),
                          sg.Axis("y", r.shape[1], 0.1))
     return frames.ReconstructionResult(frames.PositionField(g, r), normal,
-                                       0.0, 0.0, False)
+                                       0.0, 0.0)
 
 
 @pytest.mark.parametrize("delta", [0.0, 1e-3, -0.02, 0.5])
@@ -522,11 +523,13 @@ def test_reconstruct_mixed_partial_defect_budget():
 
 
 def test_reconstruct_flags_incompatible_forms():
+    # above 10 h_min^2, the tol that `solgeo surface` gates it at
     s = cases.sphere_patch(17)
     bad = frames.SurfaceData(s.grid, s.E, s.F, s.G, s.L + 0.5, s.M, s.N,
                              s.gamma, s.p11, s.p12, s.p21, s.p22)
     res = frames.reconstruct_surface(bad)
-    assert res.gmce_flagged
+    hmin = min(a.h for a in s.grid.axes)
+    assert res.gmce_residual_max > 10 * hmin**2
 
 
 def test_gmce_residual_sphere_small():

@@ -1,3 +1,5 @@
+import json
+import re
 import warnings
 
 import numpy as np
@@ -237,6 +239,40 @@ def test_load_rejects_foreign_file(tmp_path):
     p = tmp_path / "junk.field"
     p.write_bytes(b'{"format": "something-else"}\n')
     with pytest.raises(DomainError):
+        sg.load_field(p)
+
+
+def _field_file_parts(tmp_path):
+    # a 6^3 real field file, split into its header and its payload
+    g = sg.GridSpec.make(*(sg.Axis(a, 6, 0.1) for a in ("x", "y", "t")))
+    p = tmp_path / "f.field"
+    sg.save_field(p, sg.ScalarField(g, np.ones(g.shape)))
+    header, payload = p.read_bytes().split(b"\n", 1)
+    return p, json.loads(header), payload
+
+
+@pytest.mark.parametrize("cut, extra", [(8, b""), (3, b""), (0, b"\0")])
+def test_load_rejects_payload_of_another_size(tmp_path, cut, extra):
+    # a short payload failed in reshape, and a byte over loaded silently
+    p, header, payload = _field_file_parts(tmp_path)
+    p.write_bytes(json.dumps(header).encode() + b"\n"
+                  + payload[:len(payload) - cut] + extra)
+    with pytest.raises(DomainError, match=f"{re.escape(str(p))}: payload is not the 1728"):
+        sg.load_field(p)
+
+
+def test_load_rejects_header_without_axes(tmp_path):
+    p, header, payload = _field_file_parts(tmp_path)
+    del header["axes"]
+    p.write_bytes(json.dumps(header).encode() + b"\n" + payload)
+    with pytest.raises(DomainError, match=f"{re.escape(str(p))}: malformed header.*'axes'"):
+        sg.load_field(p)
+
+
+def test_load_rejects_header_that_is_not_json(tmp_path):
+    p, _, payload = _field_file_parts(tmp_path)
+    p.write_bytes(b"solgeo-field-v1\n" + payload)
+    with pytest.raises(DomainError, match=f"{re.escape(str(p))}: first line is not JSON"):
         sg.load_field(p)
 
 
