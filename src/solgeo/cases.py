@@ -25,37 +25,26 @@ CASE_NAMES = ("planewave-ds", "planewave-zi", "planewave-strachan",
               "uniform-spin", "pure-gauge", "rational-lambda")
 
 
-def _points(n: int) -> int:
-    """n as the points per axis of a default grid, checked before any
-    spacing is divided by it."""
-    if n < 4:
-        raise DomainError(f"need n >= 4 grid points, got {n}")
-    return n
-
-
 # --- plane waves --------------------------------------------------------------
 
-def planewave(eq: str, k: float = 1.0, l: float = 2.0, v0: float = 1.0,
-              amp: complex = 0.8, params: dict | None = None,
+def planewave(eq: str, k: float = 1.0, l: float = 2.0, amp: complex = 0.8,
               omega: float | None = None) -> dict:
     """Exact plane-wave solution fields for the three equations that admit
-    one with constant potential.
+    one with the constant potential v0 = 1, at alpha = 1.
 
     The frequency solves the corresponding dispersion relation (rederived by
     substituting q = A e^{i(kx+ly-wt)}, p = conj-wave into the equation):
-    ds: w = k^2 + alpha^2 l^2 - v0; zi: w = v0 - k l; strachan: w = -k l
-    with v0 forced to 0 (a constant v couples q into the p line otherwise).
+    ds: w = k^2 + l^2 - v0; zi: w = v0 - k l; strachan: w = -k l with v0
+    forced to 0 (a constant v couples q into the p line otherwise).
 
     Defaults keep k, l and w integral so the wave is exactly periodic on the
     2*pi boxes the finite-difference and spectral checks use.
     """
-    from solgeo import solitons
     from solgeo.waves import Wave
 
-    params = dict(params or {})
-    alpha = solitons.get_alpha(params)
+    v0 = 1.0
     if eq == "ds":
-        w = float((k**2 + alpha**2 * l**2).real) - v0
+        w = k**2 + l**2 - v0
     elif eq == "zi":
         w = v0 - k * l
     elif eq == "strachan":
@@ -69,17 +58,14 @@ def planewave(eq: str, k: float = 1.0, l: float = 2.0, v0: float = 1.0,
     fields = {"q": q, "p": q.conj(), "v": Wave.const(v0)}
     # a Wave is also the callable f(x, y, t) that the Lax sweeps sample
     return {**fields, "callables": fields,
-            "params": {**params, "k": k, "l": l, "v0": v0, "omega": w}}
+            "params": {"k": k, "l": l, "v0": v0, "omega": w}}
 
 
 def default_grid_xyt(n: int = 24) -> sg.GridSpec:
     """n^3 periodic grid over (x, y, t) in [0, 2 pi)^3."""
-    h = 2 * np.pi / _points(n)
-    return sg.GridSpec.make(
-        sg.Axis("x", n, h, periodic=True),
-        sg.Axis("y", n, h, periodic=True),
-        sg.Axis("t", n, h, periodic=True),
-    )
+    return sg.GridSpec.make(*(sg.Axis.over(a, n, 0.0, 2 * np.pi,
+                                           periodic=True)
+                              for a in ("x", "y", "t")))
 
 
 # --- spin cases ---------------------------------------------------------------
@@ -95,9 +81,9 @@ def uniform_spin(grid: sg.GridSpec) -> dict:
 # --- pure-gauge connection ----------------------------------------------------
 
 def default_grid_gauge(n: int = 16) -> sg.GridSpec:
-    h = 1.0 / (_points(n) - 1)
-    return sg.GridSpec.make(sg.Axis("x", n, h), sg.Axis("y", n, h),
-                            sg.Axis("t", n, h))
+    """n^3 open grid over (x, y, t) in [0, 1]^3."""
+    return sg.GridSpec.make(*(sg.Axis.over(a, n, 0.0, 1.0)
+                              for a in ("x", "y", "t")))
 
 
 def pure_gauge_connection(grid: sg.GridSpec | None = None,
@@ -177,8 +163,8 @@ LAMBDA_PARAMS = (
 
 def default_grid_xi(n: int = 12) -> sg.GridSpec:
     """n^4 open grid over (xi1, ..., xi4) in [0, 0.35]^4."""
-    h = 0.35 / (_points(n) - 1)
-    return sg.GridSpec.make(*(sg.Axis(f"xi{i}", n, h) for i in (1, 2, 3, 4)))
+    return sg.GridSpec.make(*(sg.Axis.over(f"xi{i}", n, 0.0, 0.35)
+                              for i in (1, 2, 3, 4)))
 
 
 def rational_lambda(params: dict | None = None,
@@ -208,11 +194,8 @@ def lambda_defect(params: dict, n: int) -> float:
 # --- classical surfaces -------------------------------------------------------
 
 def _surface_grid(n: int, x0: float, x1: float, y0: float, y1: float):
-    n = _points(n)
-    return sg.GridSpec.make(
-        sg.Axis("x", n, (x1 - x0) / (n - 1), origin=x0),
-        sg.Axis("y", n, (y1 - y0) / (n - 1), origin=y0),
-    )
+    return sg.GridSpec.make(sg.Axis.over("x", n, x0, x1),
+                            sg.Axis.over("y", n, y0, y1))
 
 
 def sphere_patch(n: int = 32) -> frames.SurfaceData:

@@ -294,21 +294,26 @@ def cmd_case(args):
         fields = {name: sg.ScalarField(f.grid, f.lam)}
     outdir = args.out or "."
     os.makedirs(outdir, exist_ok=True)
-    written, worst = [], 0.0
+    written, worst, grid_match = [], 0.0, True
     for stem, field in fields.items():
         path = os.path.join(outdir, f"{stem}.field")
         sg.save_field(path, field)
         written.append(path)
         # the entry is what a reader gets back: any bit lost on the way fails
-        worst = max(worst, float(np.abs(sg.load_field(path).data
-                                        - field.data).max()))
+        back = sg.load_field(path)
+        worst = max(worst, float(np.abs(back.data - field.data).max()))
+        grid_match = grid_match and back.grid == field.grid
     if params is not None:
         path = os.path.join(outdir, f"{name}-params.json")
         with open(path, "w") as fh:
             json.dump(params, fh, sort_keys=True, indent=2)
             fh.write("\n")
         written.append(path)
-    return [_gate(f"case-{name}", worst, 0.0, written=written)]
+    # the grids are a key of their own, so max stays a finite number
+    entry = _gate(f"case-{name}", worst, 0.0, grid_match=grid_match,
+                  written=written)
+    entry["passed"] = entry["passed"] and grid_match
+    return [entry]
 
 
 # --- frame subcommand ---------------------------------------------------------

@@ -78,13 +78,11 @@ def propagate_frenet(start: FrameTriad, coeffs, beta: int, h: float) -> FrameFie
         raise DomainError(f"start frame has beta = {start.beta}, "
                           f"propagation beta = {beta}")
     coeffs = list(coeffs)
-    if len(coeffs) < 4:
-        # the frames live on a grid axis, which needs n >= 4
-        raise DomainError(f"need at least 4 coefficient samples, "
-                          f"got {len(coeffs)}")
+    # the frames live on a grid axis, built first so that a short input
+    # fails before any step is transported
+    gspec = sg.GridSpec.make(sg.Axis("x", len(coeffs), h))
     mats = liealg.skew_matrix(coeffs, beta)
     out = liealg.transport(_midpoint(mats, h), start.as_matrix())
-    gspec = sg.GridSpec.make(sg.Axis("x", len(coeffs), h))
     return FrameField(gspec, out, beta)
 
 

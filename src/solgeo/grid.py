@@ -35,6 +35,14 @@ class Axis:
         if not (self.h > 0):
             raise DomainError(f"axis {self.name}: spacing must be positive")
 
+    @classmethod
+    def over(cls, name, n, start, stop, periodic=False):
+        """n points from start spanning [start, stop], or [start, stop)
+        when periodic; a size below 4 reaches the check above rather than
+        a division by zero."""
+        cells = n if periodic else n - 1
+        return cls(name, n, (stop - start) / max(cells, 1), periodic, start)
+
     def coords(self) -> np.ndarray:
         return self.origin + self.h * np.arange(self.n)
 

@@ -318,9 +318,9 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
         C2 = liealg.matrices([[(2 * b + 1) / 2 + 0.5, 0],
                               [0, (2 * b + 1) / 2 - 0.5]], q.shape, complex)
         C1 = 1j * B0
-        qx, qy, py = d(q, "x"), d(q, "y"), d(p, "y")
+        qx, qy, px, py = d(q, "x"), d(q, "y"), d(p, "x"), d(p, "y")
         c12 = 1j * (2 * b - a + 1) * qx + 1j * alpha * qy
-        c21 = 1j * (a - 2 * b) * qx - 1j * alpha * py
+        c21 = 1j * (a - 2 * b) * px - 1j * alpha * py
         pq = p * q
         c11 = _solve_first_order(pq, grid, a + 1, alpha, 2 * b - a + 1, alpha)
         c22 = _solve_first_order(pq, grid, a, alpha, a - 2 * b, -alpha)
@@ -365,16 +365,14 @@ LAX_SUBSTEPS = 4
 
 def _periodic_line(name, n):
     """The periodic line of n points over [0, 2 pi) along axis name."""
-    if n < 4:
-        raise DomainError(f"need a line of n >= 4 points, got {n}")
-    return sg.Axis(name, n, 2 * np.pi / n, periodic=True)
+    return sg.Axis.over(name, n, 0.0, 2 * np.pi, periodic=True)
 
 
 def _stage_axis(name, span, substeps):
     """The 2 substeps + 1 RK4 stage coordinates of a sweep over [0, span]."""
     if substeps < 2:
         raise DomainError(f"need substeps >= 2 per sweep, got {substeps}")
-    return sg.Axis(name, 2 * substeps + 1, span / (2 * substeps))
+    return sg.Axis.over(name, 2 * substeps + 1, 0.0, span)
 
 
 def _sample(fields, names, grid, at):
@@ -490,7 +488,7 @@ def _zii_defect(fields, params, n_line, substeps):
 
         def rhs(j, gg):
             gx = d_line(gg, "x")
-            return 2 * C2 @ d_line(gx, "x") + c1[j] @ gx + c0[j] @ gg
+            return 1j * C2 @ d_line(gx, "x") + c1[j] @ gx + c0[j] @ gg
         return _sweep(rhs, g, span["t"], substeps)
 
     g0 = np.broadcast_to(np.eye(2, dtype=complex), (n_line, 2, 2))

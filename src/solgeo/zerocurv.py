@@ -257,11 +257,9 @@ class SpectralField:
 
 
 def _coord(g: sg.GridSpec, name: str):
-    """Coordinates of an axis shaped to broadcast against the grid, or 0.0
-    when the grid lacks it."""
-    if name in g.names:
-        return g.meshes(sparse=True)[g.index(name)]
-    return 0.0
+    """Coordinates of an axis shaped to broadcast against the grid; an axis
+    the grid lacks is GridSpec.index's DomainError."""
+    return g.meshes(sparse=True)[g.index(name)]
 
 
 def _finite_params(params: dict, names, optional=()) -> list:
@@ -342,12 +340,7 @@ def lambda_field(kind: str, params: dict, g: sg.GridSpec) -> SpectralField:
 def lambda_lines(f: SpectralField):
     """Yield (key, line), the finite-difference residuals of the defining
     first-order equations; sdym_xi computes and drops one line at a time."""
-    g = f.grid
-
-    def d(name):
-        if name in g.names:
-            return sg.partial_data(f.lam, g, name)
-        return np.zeros_like(f.lam)
+    d = lambda name: sg.partial_data(f.lam, f.grid, name)
 
     if f.kind == "sdym_xi":
         for key, a, b in (("xi13", "xi1", "xi3"), ("xi24", "xi2", "xi4")):

@@ -648,7 +648,7 @@ def test_case_entry_is_the_read_back_difference(name, tmp_path):
     (entry,) = load_report(rp)["checks"]
     assert entry["name"] == f"case-{name}"
     assert entry["max"] == 0.0 and entry["tol"] == 0.0
-    assert entry["passed"] is True
+    assert entry["grid_match"] is True and entry["passed"] is True
 
 
 def test_case_fails_on_a_payload_that_does_not_read_back(tmp_path,
@@ -662,6 +662,23 @@ def test_case_fails_on_a_payload_that_does_not_read_back(tmp_path,
                 "--report", str(rp)]) == 1
     (entry,) = load_report(rp)["checks"]
     assert 0.0 < entry["max"] < 1e-15 and entry["passed"] is False
+
+
+def test_case_fails_on_a_grid_that_does_not_read_back(tmp_path, monkeypatch):
+    # a header with the sizes but not the spacing of the grid reads back
+    # every value on another grid: a failed check, not a pass
+    real = sg.save_field
+
+    def stretched(path, f):
+        axes = tuple(dataclasses.replace(a, h=1.5 * a.h) for a in f.grid.axes)
+        real(path, dataclasses.replace(f, grid=sg.GridSpec(axes)))
+    monkeypatch.setattr(sg, "save_field", stretched)
+    rp = tmp_path / "r.json"
+    assert run(["case", "planewave-ds", "--n", "8", "--out", str(tmp_path),
+                "--report", str(rp)]) == 1
+    (entry,) = load_report(rp)["checks"]
+    assert entry["max"] == 0.0 and entry["grid_match"] is False
+    assert entry["passed"] is False
 
 
 @pytest.mark.parametrize("name", ["sphere-patch", "cylinder", "plane"])
@@ -723,8 +740,8 @@ def test_frame_command(tmp_path):
 def test_frame_too_few_samples_is_usage_error(n, tmp_path, capsys):
     out = tmp_path / "e1.csv"
     assert run(["frame", "--n", n, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == (
-        f"solgeo: need at least 4 coefficient samples, got {n}\n")
+    # the sample count is the frame axis's size, checked by grid.Axis
+    assert capsys.readouterr().err == f"solgeo: axis x: need n >= 4, got {n}\n"
     assert not out.exists()
 
 
@@ -1115,7 +1132,7 @@ COLD_IMPORTS = [
      {"frames", "zerocurv"}),
     (["surface", "--case", "plane", "--n", "4"], {"solitons"}),
     (["case", "planewave-ds", "--n", "4", "--out", "out"],
-     {"frames", "zerocurv", "liealg"}),
+     {"frames", "solitons", "zerocurv", "liealg"}),
     (["frame", "--n", "4"], {"cases", "solitons", "zerocurv", "waves"}),
 ]
 

@@ -94,8 +94,7 @@ def test_propagate_rejects_short_input(monkeypatch):
 
     monkeypatch.setattr(liealg, "transport", no_transport)
     for n in range(4):
-        with pytest.raises(DomainError, match=f"need at least 4 coefficient "
-                                              f"samples, got {n}"):
+        with pytest.raises(DomainError, match=f"axis x: need n >= 4, got {n}$"):
             frames.propagate_frenet(frames.FrameTriad.standard(),
                                     [liealg.CoeffTriple.x(1, 0, 0)] * n,
                                     1, 0.1)

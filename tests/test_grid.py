@@ -33,6 +33,31 @@ def test_axis_validation():
         sg.GridSpec.make(sg.Axis("x", 8, 0.1), sg.Axis("x", 8, 0.1))
 
 
+@pytest.mark.parametrize("n", [4, 5, 9, 12, 16, 17, 24, 33, 64])
+def test_axis_over_matches_the_hand_spacings(n):
+    # the spacing (stop - start) / n, or / (n - 1) on an open axis, of the
+    # default grids, Lax lines and stage axes, bit for bit, from the start
+    for (start, stop, periodic), h in {
+            (0.0, 2 * np.pi, True): 2 * np.pi / n,
+            (0.0, 1.0, True): 1.0 / n,
+            (0.0, 1.0, False): 1.0 / (n - 1),
+            (0.0, 0.35, False): 0.35 / (n - 1),
+            (-0.6, 0.6, False): (0.6 - -0.6) / (n - 1),
+            (0.0, 1.2, False): (1.2 - 0.0) / (n - 1)}.items():
+        ax = sg.Axis.over("x", n, start, stop, periodic=periodic)
+        assert (ax.n, ax.h, ax.origin, ax.periodic) == (n, h, start, periodic)
+        assert ax.coords()[0] == start
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_axis_over_refuses_fewer_than_four_points(n, periodic):
+    # the size rule is Axis's alone, and over reaches it with no division
+    # by a zero or negative cell count first
+    with pytest.raises(DomainError, match=rf"^axis y: need n >= 4, got {n}$"):
+        sg.Axis.over("y", n, 0.0, 1.0, periodic=periodic)
+
+
 def test_field_shape_validation():
     g = grid2d(8)
     with pytest.raises(DomainError):

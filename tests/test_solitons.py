@@ -603,7 +603,7 @@ def _zii_stagewise_defect(params, n, substeps, cell=(0.2, 0.2)):
     def t_rhs(y):
         def rhs(t, g):
             m = lax_at(y, t)
-            return 2 * m["C2"] @ dx(g, 2) + m["C1"] @ dx(g) + m["C0"] @ g
+            return 1j * m["C2"] @ dx(g, 2) + m["C1"] @ dx(g) + m["C0"] @ g
         return rhs
 
     dy, dt = cell
@@ -621,8 +621,33 @@ def test_zii_commutation_defect_matches_stagewise_reference():
         "zii", {"q": _zii_oracle_q, "p": _zii_oracle_p}, params,
         n_line=16, substeps=4)
     ref = _zii_stagewise_defect(params, 16, 4)
-    assert ref > 0.1
+    # the oracle is no solution, so a live check reads a defect of order
+    # 0.07 here, far above the refining defects of a solution
+    assert ref > 0.05
     assert abs(got - ref) <= 1e-10 * ref
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_zii_lax_pair_commutes_on_a_plane_wave(sign):
+    from solgeo.waves import Wave
+
+    # q = 0.8 e^{i(x + 2y - w t)} and p = +-conj q keep pq constant, so the
+    # pair is compatible at a = b = -1/2 when w is its dispersion
+    # alpha^2 l^2 + 2 alpha (b - a) k l + (a^2 - 2ab - b) k^2 = 4.25; line
+    # and step count both double per level, so RK4's defect refines at 16
+    params = {"a": -0.5, "b": -0.5}
+
+    def wave(omega):
+        q = Wave.exp(0.8, x=1.0, y=2.0, t=-omega)
+        return {"q": q, "p": sign * q.conj()}
+
+    study = solitons.lax_refinement_report("zii", wave(4.25), params,
+                                           levels=3, n_line=8)
+    assert all(12.0 <= r <= 20.0 for r in study["ratios"]), study
+    # a detuned frequency is no solution, so its defect stays put
+    bad = solitons.lax_commutation_defect("zii", wave(1.1 * 4.25), params,
+                                          n_line=32, substeps=16)
+    assert bad >= 100 * study["defects"][-1]
 
 
 def test_nan_evolution_is_numerical_error():

@@ -874,6 +874,27 @@ def test_lambda_field_refuses_periodic_axes(kind, periodic):
         zerocurv.lambda_field(kind, params, grid)
 
 
+@pytest.mark.parametrize("kind,missing", [("sdym_xi", "xi4"),
+                                          ("mlxii_complex", "t")])
+def test_lambda_field_needs_every_axis_it_reads(kind, missing):
+    # an axis the field reads but the grid lacks is an error, not a
+    # coordinate and derivative of 0 behind plausible residual lines
+    names = (("xi1", "xi2", "xi3", "xi4") if kind == "sdym_xi"
+             else ("x", "y", "t", "xi1"))
+    grid = sg.GridSpec.make(*(sg.Axis.over(k, 8, 0.0, 0.35)
+                              for k in names if k != missing))
+    params = (cases.LAMBDA_PARAMS[1] if kind == "sdym_xi"
+              else {"a1": 0.5, "a2": 0.2, "a3": 0.1, "a4": 1.0})
+    with pytest.raises(DomainError, match=f"no axis '{missing}'"):
+        dict(zerocurv.lambda_lines(zerocurv.lambda_field(kind, params,
+                                                         grid)))
+    # the residual lines read their axes by the same rule
+    f = zerocurv.SpectralField(grid, kind, np.ones(grid.shape),
+                               np.zeros(grid.shape, bool))
+    with pytest.raises(DomainError, match=f"no axis '{missing}'"):
+        dict(zerocurv.lambda_lines(f))
+
+
 def test_lambda_params_masks_stay_empty():
     # the gated sets never reach the pole mask, so a change to the mask
     # cannot move their values
