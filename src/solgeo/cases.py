@@ -34,8 +34,8 @@ def planewave(eq: str, k: float = 1.0, l: float = 2.0, amp: complex = 0.8,
 
     The frequency solves the corresponding dispersion relation (rederived by
     substituting q = A e^{i(kx+ly-wt)}, p = conj-wave into the equation):
-    ds: w = k^2 + l^2 - v0; zi: w = v0 - k l; strachan: w = -k l with v0
-    forced to 0 (a constant v couples q into the p line otherwise).
+    ds: w = k^2 + l^2 - v0; zi: w = v0 - k l; strachan: w = 2 c v0 k - k l
+    at c = 1 and v0 = 0 (at v0 = 1 the default k, l give a static w = 0).
 
     Defaults keep k, l and w integral so the wave is exactly periodic on the
     2*pi boxes the finite-difference and spectral checks use.
@@ -86,21 +86,22 @@ def default_grid_gauge(n: int = 16) -> sg.GridSpec:
                               for a in ("x", "y", "t")))
 
 
-def pure_gauge_connection(grid: sg.GridSpec | None = None,
-                          axes=("x", "y", "t"), perturb: float = 0.0) -> dict:
+def pure_gauge_connection(grid: sg.GridSpec, axes=("x", "y", "t"),
+                          perturb: float = 0.0) -> dict:
     """Flat connection A_mu = R_mu R^{-1} from the rotation field
     R = Rz(phi) Rx(psi), as so(3) AxialFields, with the derivatives taken
     in closed form so the zero-curvature residual of the returned fields is
     pure discretization error.  perturb > 0 adds a fixed non-gauge term to
-    break flatness.
+    break flatness.  Every axis in axes must be in grid; t reads as 0 on
+    an (x, y) grid.
     """
     key_by_axis = {"x": "A", "y": "B", "t": "C"}
     if not set(axes) <= set(key_by_axis):
         raise DomainError(f"pure-gauge axes {axes}: choose from x, y, t")
     if perturb and "y" not in axes:
         raise DomainError("perturb adds to B, so the axes must include y")
-    if grid is None:
-        grid = default_grid_gauge()
+    for ax in axes:
+        grid.index(ax)
     meshes = dict(zip(grid.names, grid.meshes(sparse=True)))
     x = meshes.get("x", 0.0)
     y = meshes.get("y", 0.0)

@@ -15,28 +15,16 @@ import resource
 import sys
 import time
 
-
-def _apply_thread_cap():
-    cap = os.environ.get("SOLGEO_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
-
-
-# BLAS and OpenMP read their thread counts once, when numpy loads, so the
-# cap must be in the environment before the imports below
-_apply_thread_cap()
-
-import numpy as np  # noqa: E402
+import numpy as np
 
 # each subcommand imports the modules it runs, so a cold process compiles
 # and loads only those
-from solgeo import __version__  # noqa: E402
-from solgeo import grid as sg  # noqa: E402
-from solgeo.errors import ConstraintError, DomainError, NumericalError  # noqa: E402
+from solgeo import __version__
+from solgeo import grid as sg
+from solgeo.errors import ConstraintError, DomainError, NumericalError
 
 TOL_ANALYTIC = 1e-10
+TOL_REDUCTION = 1e-15
 RATIO_WINDOW = (3.5, 4.5)
 
 
@@ -83,12 +71,11 @@ def _check_planewave(args):
     res = solitons.pde_residual(
         eq, {k: pw[k] for k in ("q", "p", "v")},
         pw["params"], mode="analytic", grid=grid)
-    tol = args.tol if args.tol is not None else TOL_ANALYTIC
     checks = []
     for k, r in res.items():
         norms = sg.field_norms(r)
-        checks.append(_gate(f"{eq}-residual-{k}", norms.pop("max"), tol,
-                            **norms))
+        checks.append(_gate(f"{eq}-residual-{k}", norms.pop("max"),
+                            TOL_ANALYTIC, **norms))
     return checks
 
 
@@ -151,13 +138,12 @@ def _check_reduction(args):
         rb = solitons.pde_residual("zi", fields, {}, grid=grid)
     else:
         raise DomainError(f"unknown reduction case {args.case!r}")
-    tol = args.tol if args.tol is not None else 1e-15
     checks = []
     for k in ra:
         norms = sg.field_norms(ra[k] - rb[k])
         m3q_max = float(np.abs(ra[k]).max())
-        entry = _gate(f"m3q-{args.case}-{k}", norms.pop("max"), tol,
-                      m3q_max=m3q_max, **norms)
+        entry = _gate(f"m3q-{args.case}-{k}", norms.pop("max"),
+                      TOL_REDUCTION, m3q_max=m3q_max, **norms)
         # an identity between residual lines that vanish shows nothing
         entry["passed"] = entry["passed"] and m3q_max > 0
         checks.append(entry)
@@ -197,8 +183,8 @@ def _check_lax(args):
 # each check's runner and the check flags it reads; any other flag but
 # --report that is off its parser default would only be recorded
 CHECKS = {
-    "planewave": (_check_planewave, {"eq", "case", "n", "tol", "omega_scale"}),
-    "reduction": (_check_reduction, {"eq", "case", "n", "tol", "seed"}),
+    "planewave": (_check_planewave, {"eq", "case", "n", "omega_scale"}),
+    "reduction": (_check_reduction, {"eq", "case", "n", "seed"}),
     "pure-gauge": (_check_pure_gauge, {"system", "case", "n", "refine"}),
     "lambda": (_check_lambda, {"kind", "n", "refine"}),
     "lax": (_check_lax, {"kind", "n", "refine", "perturb"}),
@@ -222,10 +208,6 @@ def cmd_check(args, defaults):
         if dest not in reads | {"report"} and getattr(args, dest) != default:
             raise DomainError(f"--{dest.replace('_', '-')} does not apply to "
                               f"the {name} check that {by} selects")
-    # nan compares false and inf would pass every value, so neither gates
-    if args.tol is not None and not 0.0 <= args.tol < math.inf:
-        raise DomainError("--tol must be finite and non-negative, "
-                          f"got {args.tol}")
     if not math.isfinite(args.omega_scale):
         raise DomainError(f"--omega-scale must be finite, got "
                           f"{args.omega_scale}")
@@ -361,7 +343,6 @@ def _build_parser():
     c.add_argument("--case", default="")
     c.add_argument("--n", type=int, default=16)
     c.add_argument("--refine", type=int, default=3)
-    c.add_argument("--tol", type=float, default=None)
     c.add_argument("--omega-scale", type=float, default=1.0)
     c.add_argument("--perturb", action="store_true")
     c.add_argument("--seed", type=int, default=0)

@@ -116,7 +116,16 @@ def commutation_defect_2d(start: FrameTriad, A, B) -> float:
 _SPATIAL_GAMMA = ("111", "211", "112", "212", "122", "222")
 _TIME_GAMMA = ("201", "203", "301", "302")
 _FORMS = ("E", "F", "G", "L", "M", "N", "p11", "p12", "p21", "p22")
-_UPSILON = ("1", "2", "3")
+
+
+def _on_grid(name, v, shape):
+    """v as a read-only float view of the given shape, else a DomainError."""
+    v = np.asarray(v, float)
+    try:
+        return np.broadcast_to(v, shape)
+    except ValueError:
+        raise DomainError(f"{name} of shape {v.shape} does not broadcast to "
+                          f"the grid shape {shape}") from None
 
 
 @dataclass(frozen=True)
@@ -124,19 +133,15 @@ class SurfaceData:
     """First/second fundamental forms, Christoffel symbols and Weingarten
     coefficients sampled on an (x, y) grid.
 
-    Each of E ... p22 and each gamma and upsilon entry may be anything that
-    broadcasts to grid.shape, a constant included; it is stored as a
-    read-only array of that shape, and gamma and upsilon as read-only
-    mappings, so no entry escapes these checks by a write after
-    construction.  An entry that does not broadcast is a DomainError naming
-    it.  gamma keys use upper-then-lower index strings, e.g. "211" for the
-    symbol with upper index 2 and lower indices 1,1.  An absent spatial
-    symbol is zero; the time-direction entries ("201", "203", "301", "302")
-    are optional.  upsilon holds the optional velocities "1", "2", "3" that
-    `time_christoffels` reads.  Any other gamma or upsilon key is a
-    DomainError.
-    The three printed time-Christoffel formulas with suspect index
-    placement are exposed as c01a/c01b/c01c by `time_christoffels`.
+    Each of E ... p22 and each gamma entry may be anything that broadcasts
+    to grid.shape, a constant included; it is stored as a read-only array
+    of that shape, and gamma as a read-only mapping, so no entry escapes
+    these checks by a write after construction.  An entry that does not
+    broadcast is a DomainError naming it.  gamma keys use upper-then-lower
+    index strings, e.g. "211" for the symbol with upper index 2 and lower
+    indices 1,1.  An absent spatial symbol is zero; the time-direction
+    entries ("201", "203", "301", "302") are optional.  Any other gamma key
+    is a DomainError.
 
     g = EG - F^2 is computed once, here, and E > 0, g > 0 are checked at
     every grid point: a degenerate metric is a DomainError at construction.
@@ -154,32 +159,19 @@ class SurfaceData:
     p12: np.ndarray
     p21: np.ndarray
     p22: np.ndarray
-    upsilon: dict = field(default_factory=dict)
     g: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shape = self.grid.shape
-        for name, keys in (("gamma", _SPATIAL_GAMMA + _TIME_GAMMA),
-                           ("upsilon", _UPSILON)):
-            unknown = sorted(set(getattr(self, name)) - set(keys))
-            if unknown:
-                raise DomainError(f"unknown {name} key {unknown[0]!r}")
-
-        def wide(name, v):
-            v = np.asarray(v, float)
-            try:
-                return np.broadcast_to(v, shape)
-            except ValueError:
-                raise DomainError(f"{name} of shape {v.shape} does not "
-                                  f"broadcast to the grid shape {shape}"
-                                  ) from None
+        unknown = sorted(set(self.gamma) - set(_SPATIAL_GAMMA + _TIME_GAMMA))
+        if unknown:
+            raise DomainError(f"unknown gamma key {unknown[0]!r}")
         put = lambda name, v: object.__setattr__(self, name, v)
         for name in _FORMS:
-            put(name, wide(name, getattr(self, name)))
+            put(name, _on_grid(name, getattr(self, name), shape))
         gamma = {**dict.fromkeys(_SPATIAL_GAMMA, 0.0), **self.gamma}
-        for name, entries in (("gamma", gamma), ("upsilon", self.upsilon)):
-            put(name, MappingProxyType({k: wide(f"{name}[{k!r}]", v)
-                                        for k, v in entries.items()}))
+        put("gamma", MappingProxyType({
+            k: _on_grid(f"gamma[{k!r}]", v, shape) for k, v in gamma.items()}))
         put("g", self.E * self.G - self.F**2)
         for name, v in (("E", self.E), ("EG - F^2", self.g)):
             if np.any(v <= 0):
@@ -312,22 +304,20 @@ def reconstruct_surface(s: SurfaceData) -> ReconstructionResult:
     )
 
 
-def time_christoffels(s: SurfaceData) -> dict:
-    """The three printed time-direction Christoffel formulas, exposed under
-    neutral names because their upper-index labels look misprinted (the
-    right-hand sides of the second and third suggest upper indices 2 and 3):
+def time_christoffels(s: SurfaceData, y1, y2, y3) -> dict:
+    """The three printed time-direction Christoffel formulas for velocities
+    Y1, Y2, Y3 that broadcast to the grid, under neutral names because
+    their upper-index labels look misprinted (the right-hand sides of the
+    second and third suggest upper indices 2 and 3):
 
     c01a = Y1_x + Y1 G^1_11 + Y2 G^1_12 + Y3 p11
     c01b = Y2_x + Y1 G^2_11 + Y2 G^2_12 + Y3 p12
     c01c = Y3_x + Y1 L + Y2 M
 
     plus p01 = F c3/g and p02 = -E c3/g for a caller-supplied "302" entry.
-    Requires upsilon keys "1", "2", "3".
     """
-    missing = [k for k in _UPSILON if k not in s.upsilon]
-    if missing:
-        raise DomainError(f"upsilon fields missing {missing}")
-    y1, y2, y3 = s.upsilon["1"], s.upsilon["2"], s.upsilon["3"]
+    y1, y2, y3 = (_on_grid(f"Y{i}", y, s.grid.shape)
+                  for i, y in enumerate((y1, y2, y3), 1))
     dx = lambda f: sg.partial_data(f, s.grid, "x")
     out = {
         "c01a": dx(y1) + y1 * s.gamma["111"] + y2 * s.gamma["112"] + y3 * s.p11,

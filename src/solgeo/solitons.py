@@ -149,8 +149,8 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
         res = {
             "q": (1j * d(q, "t") - d(d(q, "x"), "y") + 2j * c * d(vq, "x")
                   - dd**2 * vq),
-            "p": (-1j * d(p, "t") - d(d(p, "x"), "y") - 2j * c * d(vq, "x")
-                  - dd**2 * v * p),
+            "p": (-1j * d(p, "t") - d(d(p, "x"), "y")
+                  - 2j * c * d(v * p, "x") - dd**2 * v * p),
             "v": d(v, "x") - 2 * d(p * q, "y"),
         }
     elif eq == "mkdv_c":

@@ -204,15 +204,9 @@ def embedding_identity_defect(A: sg.MatrixField, B: sg.MatrixField,
 _PAIRS = ("12", "13", "14", "23", "24", "34")
 
 
-@dataclass(frozen=True)
-class Curvature2Form:
-    grid: sg.GridSpec
-    comps: dict  # keys "12".."34", values grid.shape + (m, m)
-
-
-def curvature(pot: dict) -> Curvature2Form:
+def curvature(pot: dict) -> dict:
     """F_mu_nu = d_mu A_nu - d_nu A_mu + [A_mu, A_nu] for a four-potential
-    {A1..A4} over xi1..xi4."""
+    {A1..A4} over xi1..xi4, keyed "12".."34", each of grid.shape + (m, m)."""
     g = _check_conn(pot, ("A1", "A2", "A3", "A4"))
     comps = {}
     for key in _PAIRS:
@@ -224,26 +218,25 @@ def curvature(pot: dict) -> Curvature2Form:
             - sg.partial_data(am.data, g, f"xi{nu}")
             + commutator(am.data, an.data)
         )
-    return Curvature2Form(g, comps)
+    return comps
 
 
-def hodge_dual(F: Curvature2Form) -> Curvature2Form:
+def hodge_dual(F: dict) -> dict:
     """(*F)_mu_nu = (1/2) eps_mu_nu_rho_delta F_rho_delta, eps_1234 = 1."""
-    c = F.comps
-    return Curvature2Form(F.grid, {
-        "12": c["34"],
-        "13": -c["24"],
-        "14": c["23"],
-        "23": c["14"],
-        "24": -c["13"],
-        "34": c["12"],
-    })
+    return {
+        "12": F["34"],
+        "13": -F["24"],
+        "14": F["23"],
+        "23": F["14"],
+        "24": -F["13"],
+        "34": F["12"],
+    }
 
 
-def selfdual_defect(F: Curvature2Form) -> float:
+def selfdual_defect(F: dict) -> float:
     """Max-norm of F - *F over all six components."""
     dual = hodge_dual(F)
-    return float(np.max([abs_max(F.comps[k] - dual.comps[k]) for k in _PAIRS]))
+    return float(np.max([abs_max(F[k] - dual[k]) for k in _PAIRS]))
 
 
 # --- spectral-parameter fields -----------------------------------------------

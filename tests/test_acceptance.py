@@ -224,15 +224,13 @@ def test_criterion_09_hodge():
     pot = cases.random_connection(g, rng, names=("A1", "A2", "A3", "A4"))
     F = zerocurv.curvature(pot)
     FF = zerocurv.hodge_dual(zerocurv.hodge_dual(F))
-    invol = all(np.array_equal(FF.comps[k], F.comps[k]) for k in F.comps)
+    invol = all(np.array_equal(FF[k], F[k]) for k in F)
 
     M = rng.normal(size=g.shape + (2, 2))
     M /= np.abs(M).max()
     zero = np.zeros_like(M)
-    sd = zerocurv.Curvature2Form(g, {"12": M, "34": M, "13": zero,
-                                     "14": zero, "23": zero, "24": zero})
-    asd = zerocurv.Curvature2Form(g, {"12": M, "34": -M, "13": zero,
-                                      "14": zero, "23": zero, "24": zero})
+    sd = {"12": M, "34": M, "13": zero, "14": zero, "23": zero, "24": zero}
+    asd = {"12": M, "34": -M, "13": zero, "14": zero, "23": zero, "24": zero}
     d_sd = zerocurv.selfdual_defect(sd)
     d_asd = zerocurv.selfdual_defect(asd)
     norm = float(np.abs(M).max())

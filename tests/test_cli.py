@@ -330,7 +330,7 @@ CHECK_ARGV = {
     "lax": ["check", "--kind", "lax", "--refine", "2"],
 }
 OFF_DEFAULT = {"eq": "zi", "system": "gmce", "kind": "lax",
-               "case": "planewave-zi", "n": 8, "refine": 2, "tol": 1e-8,
+               "case": "planewave-zi", "n": 8, "refine": 2,
                "omega_scale": 1.1, "perturb": True, "seed": 5}
 
 
@@ -447,6 +447,25 @@ def test_refinement_needs_two_levels(argv, refine, capsys):
     assert captured.out == ""
 
 
+def _assert_tol_refused(argv, tol, via, tmp_path, capsys):
+    # the gates' bounds are constants: argparse refuses the flag, and the
+    # config reader the key, before any check runs
+    if via == "flag":
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--tol", str(tol)])
+        code, says = exc.value.code, f"unrecognized arguments: --tol {tol}"
+    else:
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({"tol": tol}))
+        code = run(["--config", str(conf)] + argv)
+        says = "solgeo: cannot read config: tol: not an option"
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert says in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("argv", [
     ["check", "--system", "mlxii", "--case", "pure-gauge", "--n", "8"],
@@ -454,38 +473,19 @@ def test_refinement_needs_two_levels(argv, refine, capsys):
     ["check", "--kind", "lax"],
 ])
 def test_refinement_checks_refuse_tol(argv, via, tmp_path, capsys):
-    # these checks gate on ratio windows; a --tol would be recorded in the
-    # config and never applied
-    if via == "flag":
-        code = run(argv + ["--refine", "2", "--tol", "1e-30"])
-    else:
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"tol": 1e-30}))
-        code = run(["--config", str(conf)] + argv + ["--refine", "2"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    assert captured.err.startswith("solgeo:") and "--tol" in captured.err
-    assert captured.out == ""
+    # these checks gate on ratio windows
+    _assert_tol_refused(argv + ["--refine", "2"], 1e-30, via, tmp_path,
+                        capsys)
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
 def test_non_finite_or_negative_tol_is_usage_error(tol, via, tmp_path,
                                                    capsys):
-    # inf passes every value and nan none, so neither is a tolerance
-    argv = ["check", "--eq", "zi", "--case", "planewave-zi", "--n", "8"]
-    if via == "flag":
-        code = run(argv + ["--tol", str(tol)])
-    else:
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps({"tol": tol}))
-        code = run(["--config", str(conf)] + argv)
-    assert code == 2
-    captured = capsys.readouterr()
-    assert "Traceback" not in captured.err
-    assert captured.err.startswith("solgeo:") and "--tol" in captured.err
-    assert captured.out == ""
+    # inf passes every value and nan none, and a finite one is no option
+    # either: the plane-wave gate's bound is TOL_ANALYTIC
+    _assert_tol_refused(["check", "--eq", "zi", "--case", "planewave-zi",
+                         "--n", "8"], tol, via, tmp_path, capsys)
 
 
 def test_report_determinism_excluding_timing(tmp_path):
@@ -865,9 +865,6 @@ def argv_grammar(draw):
         if draw(st.booleans()):
             argv.append("--perturb")
         if draw(st.booleans()):
-            argv += ["--tol", draw(st.sampled_from(
-                ["inf", "nan", "-1", "1e-10"]))]
-        if draw(st.booleans()):
             argv += ["--omega-scale", draw(st.sampled_from(
                 ["1", "1.1", "nan", "inf"]))]
     elif cmd == "surface":
@@ -908,9 +905,6 @@ def test_any_command_line_keeps_exit_code_contract(tmp_path_factory, argv):
             code = exc.code
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue(), argv
-    if "--tol" in argv and argv[argv.index("--tol") + 1] != "1e-10":
-        # a tolerance that gates nothing is refused, never reported passed
-        assert code == 2, argv
     if "--omega-scale" in argv:
         scale = argv[argv.index("--omega-scale") + 1]
         planewave = "--eq" in argv and argv[argv.index("--eq") + 1] != "m3q"
@@ -977,6 +971,7 @@ def test_config_bad_flag_value_is_usage_error(tmp_path, capsys, text):
     ('{"name": "plane"}', ["case", "uniform-spin", "--out", "fields"]),
     ('{"config": "other.json"}', ["frame", "--n", "20"]),
     ('{"out": "x.obj"}', ["check", "--eq", "zi", "--case", "planewave-zi"]),
+    ('{"tol": 1e-8}', ["check", "--eq", "zi", "--case", "planewave-zi"]),
 ])
 def test_config_key_that_names_no_option_is_usage_error(
         text, argv, tmp_path, monkeypatch, capsys):
@@ -1082,29 +1077,6 @@ def test_unwritable_output_is_usage_error(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err.startswith("solgeo:")
-
-
-def test_thread_cap_env(monkeypatch):
-    monkeypatch.setenv("SOLGEO_THREADS", "2")
-    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
-    cli._apply_thread_cap()
-    assert os.environ["OMP_NUM_THREADS"] == "2"
-
-
-@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
-                    reason="needs /proc/self/status")
-def test_thread_cap_applies_before_numpy_loads():
-    env = {k: v for k, v in os.environ.items()
-           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                        "MKL_NUM_THREADS")}
-    env["SOLGEO_THREADS"] = "1"
-    code = ("import solgeo.cli\n"
-            "for line in open('/proc/self/status'):\n"
-            "    if line.startswith('Threads:'):\n"
-            "        print(line.split()[1])\n")
-    proc = fresh_python(["-c", code], env)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["1"]
 
 
 def test_import_loads_no_scipy():

@@ -243,8 +243,7 @@ def test_surface_broadcasts_constants_and_sparse_gamma():
 
 
 @pytest.mark.parametrize("kw, name", [
-    ({"E": np.ones(3)}, "E"), ({"gamma": {"212": np.ones(3)}}, "gamma['212']"),
-    ({"upsilon": {"1": np.zeros(3)}}, "upsilon['1']")])
+    ({"E": np.ones(3)}, "E"), ({"gamma": {"212": np.ones(3)}}, "gamma['212']")])
 def test_surface_entry_that_does_not_broadcast_is_named(kw, name):
     # numpy's broadcast ValueError named no field
     with pytest.raises(DomainError, match=re.escape(
@@ -253,25 +252,18 @@ def test_surface_entry_that_does_not_broadcast_is_named(kw, name):
         dataclasses.replace(cases.plane(6), **kw)
 
 
-def test_surface_rejects_unknown_upsilon_key():
-    # "9" was stored, and time_christoffels never read it
-    with pytest.raises(DomainError, match="unknown upsilon key '9'"):
-        dataclasses.replace(cases.plane(6), upsilon={"1": 0.0, "9": 1.0})
-
-
-def test_surface_upsilon_is_broadcast_and_read_only():
-    # a bad entry written after construction reached time_christoffels as
-    # a raw numpy ValueError
-    g = cases.plane(6).grid
-    x, _ = g.meshes(sparse=True)
-    s = dataclasses.replace(cases.plane(6),
-                            upsilon={"1": x, "2": 0.5, "3": 0.0})
-    for v in s.upsilon.values():
-        assert v.shape == g.shape and not v.flags.writeable
-    assert np.array_equal(s.upsilon["1"], np.broadcast_to(x, g.shape))
-    with pytest.raises(TypeError):
-        s.upsilon["2"] = 1.0
-    assert np.abs(frames.time_christoffels(s)["c01a"] - 1).max() < 1e-12
+def test_time_christoffels_broadcasts_the_velocities():
+    # a sparse mesh and two constants stand for full-grid velocities
+    s = cases.plane(6)
+    x, _ = s.grid.meshes(sparse=True)
+    out = frames.time_christoffels(s, x, 0.5, 0.0)
+    for v in out.values():
+        assert v.shape == s.grid.shape
+    assert np.abs(out["c01a"] - 1).max() < 1e-12
+    assert not out["c01b"].any() and not out["c01c"].any()
+    with pytest.raises(DomainError, match=re.escape(
+            "Y2 of shape (3,) does not broadcast to the grid shape (6, 6)")):
+        frames.time_christoffels(s, x, np.zeros(3), 0.0)
 
 
 def test_surface_gamma_is_read_only_after_construction():
@@ -557,25 +549,22 @@ def test_mI_velocities_explicit_u_passthrough():
     y1, y2, y3 = frames.mI_velocities(s, u=u)
     assert np.array_equal(y1, u)
     assert np.abs(y2).max() == 0 and np.abs(y3).max() == 0
+    # the velocities feed time_christoffels as they come: only c01c = Y1 L
+    out = frames.time_christoffels(s, y1, y2, y3)
+    assert np.abs(out["c01a"]).max() < 1e-12
+    assert np.abs(out["c01b"]).max() < 1e-12
+    assert np.abs(out["c01c"] + 0.7).max() < 1e-12
 
 
 def test_time_christoffels_linear_fields_exact():
     s = cases.plane(9)
     x, y = s.grid.meshes()
-    ups = {"1": 2 * x + y, "2": x - y, "3": 3 * x}
-    s2 = frames.SurfaceData(s.grid, s.E, s.F, s.G, s.L, s.M, s.N, s.gamma,
-                            s.p11, s.p12, s.p21, s.p22, upsilon=ups)
-    out = frames.time_christoffels(s2)
+    out = frames.time_christoffels(s, 2 * x + y, x - y, 3 * x)
     # plane: all Christoffels and form coefficients vanish, leaving d/dx
     assert np.abs(out["c01a"] - 2).max() < 1e-12
     assert np.abs(out["c01b"] - 1).max() < 1e-12
     assert np.abs(out["c01c"] - 3).max() < 1e-12
     assert "p01" not in out
-
-
-def test_time_christoffels_requires_upsilon():
-    with pytest.raises(DomainError):
-        frames.time_christoffels(cases.plane(8))
 
 
 def test_export_obj(tmp_path):

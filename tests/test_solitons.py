@@ -170,6 +170,24 @@ def test_mkdv_complex_reduces_to_real_form():
     assert np.abs(rc["v2"]).max() < 1e-12
 
 
+@pytest.mark.parametrize("eq, sign", [
+    ("ds", 1), ("zi", 1), ("strachan", 1), ("m3q", 1), ("mkdv_c", 1),
+    ("zii", -1)])
+def test_p_line_is_the_conjugate_of_the_q_line(eq, sign):
+    # the reduction p = conj q with real potentials, behind the plane waves,
+    # needs the p line to read sign * conj of the q line on any such fields
+    grid = _grid(16)
+    rng = np.random.default_rng(3)
+    q = cases.random_smooth(grid, rng)
+    v1, v2 = (cases.random_smooth(grid, rng).real for _ in range(2))
+    params = {"c": 0.7, "d": 1.0} if eq == "m3q" else {}
+    r = solitons.pde_residual(eq, {"q": q, "p": np.conj(q), "v": v1,
+                                   "v1": v1, "v2": v2}, params, grid=grid)
+    scale = np.abs(r["q"]).max()
+    assert scale > 1.0
+    assert np.abs(r["p"] - sign * np.conj(r["q"])).max() <= 1e-14 * scale
+
+
 def test_zii_sign_variant_flips_one_line():
     grid = _grid(10)
     f = _random_fields(5, grid)

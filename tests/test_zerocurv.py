@@ -187,6 +187,27 @@ def test_pure_gauge_bad_axes_are_domain_errors(axes, perturb, match):
                                     perturb=perturb)
 
 
+@pytest.mark.parametrize("grid, axes, missing", [
+    (sg.GridSpec.make(sg.Axis("x", 6, 0.2), sg.Axis("y", 6, 0.2)),
+     ("x", "y", "t"), "t"),
+    (cases.default_grid_xi(6), ("x",), "x")], ids=["xy-grid", "xi-grid"])
+def test_pure_gauge_refuses_an_axis_its_grid_lacks(grid, axes, missing):
+    # the potential along a missing axis was built as a constant
+    with pytest.raises(DomainError, match=f"grid has no axis '{missing}'"):
+        cases.pure_gauge_connection(grid, axes=axes)
+
+
+def test_pure_gauge_2d_slice_is_the_3d_connection_at_t0():
+    # on an (x, y) grid t reads as 0, which is the first t sample of the
+    # gauge grid
+    g3 = cases.default_grid_gauge(6)
+    g2 = sg.GridSpec.make(*g3.axes[:2])
+    flat = cases.pure_gauge_connection(g2, axes=("x", "y"))
+    full = cases.pure_gauge_connection(g3)
+    for key in ("A", "B"):
+        assert np.array_equal(flat[key].data, full[key].data[:, :, 0])
+
+
 def test_hot_builders_build_no_dense_meshes(monkeypatch):
     # the grid-kernel builders broadcast sparse coordinates; a dense mesh
     # here costs a full-grid copy per axis
@@ -330,8 +351,7 @@ def test_selfdual_defect_keeps_a_nan_in_a_later_component():
     g = _grid4(4)
     comps = {k: np.zeros(g.shape + (2, 2)) for k in zerocurv._PAIRS}
     comps["14"][0, 0, 0, 0, 0, 0] = np.nan
-    F = zerocurv.Curvature2Form(g, comps)
-    assert np.isnan(zerocurv.selfdual_defect(F))
+    assert np.isnan(zerocurv.selfdual_defect(comps))
 
 
 def test_abs_max_is_the_max_of_abs_to_the_bit():
@@ -665,7 +685,7 @@ def test_curvature_abelian_gradient_is_flat():
         pot[f"A{i+1}"] = sg.MatrixField(g, d[..., None, None])
     F = zerocurv.curvature(pot)
     # quadratic f: stencils are exact and derivatives commute
-    worst = max(np.abs(F.comps[k]).max() for k in F.comps)
+    worst = max(np.abs(F[k]).max() for k in F)
     assert worst < 1e-12
 
 
@@ -675,8 +695,9 @@ def test_hodge_is_involution():
     pot = cases.random_connection(g, rng, names=("A1", "A2", "A3", "A4"))
     F = zerocurv.curvature(pot)
     FF = zerocurv.hodge_dual(zerocurv.hodge_dual(F))
-    for k in F.comps:
-        assert np.array_equal(FF.comps[k], F.comps[k])
+    assert set(F) == set(FF) == set(zerocurv._PAIRS)
+    for k in F:
+        assert np.array_equal(FF[k], F[k])
 
 
 def test_selfdual_defect_hand_cases():
@@ -685,11 +706,9 @@ def test_selfdual_defect_hand_cases():
     M = rng.normal(size=g.shape + (2, 2))
     M /= np.abs(M).max()
     zero = np.zeros_like(M)
-    sd = zerocurv.Curvature2Form(g, {
-        "12": M, "34": M, "13": zero, "14": zero, "23": zero, "24": zero})
+    sd = {"12": M, "34": M, "13": zero, "14": zero, "23": zero, "24": zero}
     assert zerocurv.selfdual_defect(sd) == 0.0
-    asd = zerocurv.Curvature2Form(g, {
-        "12": M, "34": -M, "13": zero, "14": zero, "23": zero, "24": zero})
+    asd = {"12": M, "34": -M, "13": zero, "14": zero, "23": zero, "24": zero}
     assert zerocurv.selfdual_defect(asd) == pytest.approx(2.0)
 
 
