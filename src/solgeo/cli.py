@@ -30,9 +30,11 @@ RATIO_WINDOW = (3.5, 4.5)
 
 def _gate(name, value, tol, **extra):
     """A report entry whose verdict is value <= tol, with extra keys beside
-    it; a nan value compares false, so it fails."""
-    return {"name": name, "max": value, "tol": tol,
-            "passed": bool(value <= tol), **extra}
+    it; a nan value compares false, so it fails.  A tol that is not finite
+    would pass any other value: it fails and is reported as null."""
+    bounded = math.isfinite(tol)
+    return {"name": name, "max": value, "tol": tol if bounded else None,
+            "passed": bounded and bool(value <= tol), **extra}
 
 
 def _write_report(path, config, checks, seed, timing):
@@ -193,7 +195,7 @@ CHECKS = {
 
 def cmd_check(args, defaults):
     """Run the check that --kind, else --system, else --eq selects;
-    defaults holds the check flags' parser defaults, before --config."""
+    defaults holds the check flags' parser defaults."""
     if args.kind:
         name, by = args.kind, "--kind"
     elif args.system:
@@ -307,6 +309,7 @@ def cmd_frame(args):
     field = frames.propagate_frenet(frames.FrameTriad.standard(args.beta),
                                     coeffs, args.beta, args.h)
     drift = field.gram_defect()
+    size = float(np.abs(field.data).max())
     if args.out:
         # e1 per sample, with a zero fourth column
         rows = np.zeros((args.n, 4))
@@ -316,15 +319,16 @@ def cmd_frame(args):
         tol = 1e-12
     elif args.sigma == 0.0:
         # the generator is eta-skew, so E eta E^T = eta holds up to rounding
-        # that grows with the squared frame size
-        tol = 1e-12 * max(1.0, float(np.abs(field.data).max())) ** 2
+        # that grows with the squared frame size; past about 1e154 that
+        # bound overflows to inf, and the gate fails
+        with np.errstate(over="ignore"):
+            tol = float(1e-12 * np.maximum(1.0, size) ** 2)
     else:
         # sigma != 0 breaks eta-skewness at beta = -1: the drift has no
         # invariant to be gated on, but the frames must still be finite
         return [{"name": "frame-gram-drift", "max": drift,
                  "informational": True},
-                {"name": "frame-finite",
-                 "max": float(np.abs(field.data).max()),
+                {"name": "frame-finite", "max": size,
                  "passed": bool(np.isfinite(field.data).all())}]
     return [_gate("frame-gram-drift", drift, tol)]
 
@@ -333,7 +337,6 @@ def cmd_frame(args):
 
 def _build_parser():
     p = argparse.ArgumentParser(prog="solgeo")
-    p.add_argument("--config", help="JSON file with flag defaults")
     sub = p.add_subparsers(dest="command")
 
     c = sub.add_parser("check")
@@ -372,72 +375,15 @@ def _build_parser():
     return p, sub.choices
 
 
-def _config_defaults(path, subparser):
-    """Flag defaults from a JSON object file, for the options of subparser.
-
-    Values are handed to argparse as command-line text, so each flag's
-    type= applies to them; null keeps the flag's own default, a store_true
-    flag takes only true or false, and any other key that names no option
-    of the subcommand is refused rather than ignored.
-    """
-    with open(path) as fh:
-        conf = json.load(fh)
-    if not isinstance(conf, dict):
-        raise ValueError("top level is not a JSON object")
-    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
-    out = {}
-    for key, val in conf.items():
-        dest = key.replace("-", "_")
-        if val is None and dest in actions:
-            continue
-        if dest not in actions or not actions[dest].option_strings:
-            raise ValueError(f"{key}: not an option of {subparser.prog}")
-        if actions[dest].nargs == 0:
-            if not isinstance(val, bool):
-                raise ValueError(f"{key}: expected true or false")
-            out[dest] = val
-        else:
-            out[dest] = str(val)
-    return out
-
-
-def _config_choice_error(subparser, conf, args):
-    """Message for the first configured value outside its flag's choices,
-    or None; argparse checks choices on command-line values only, not on
-    defaults."""
-    for action in subparser._actions:
-        if action.choices is None or action.dest not in conf:
-            continue
-        val = getattr(args, action.dest)
-        if val not in action.choices:
-            allowed = ", ".join(map(repr, action.choices))
-            return f"{action.dest}: invalid choice {val!r} (choose from {allowed})"
-    return None
-
-
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    # the parser's own defaults, read before --config replaces them
+    # the parser's own defaults, to tell which flags the command line set
     defaults = {a.dest: a.default for a in commands[args.command]._actions
                 if a.dest != "help"}
-    if args.config:
-        try:
-            conf = _config_defaults(args.config, commands[args.command])
-        except (OSError, ValueError) as exc:
-            print(f"solgeo: cannot read config: {exc}", file=sys.stderr)
-            return 2
-        # config values become the subcommand's defaults: explicit flags
-        # still win, and argparse converts or rejects them (exit 2)
-        commands[args.command].set_defaults(**conf)
-        args = parser.parse_args(argv)
-        bad = _config_choice_error(commands[args.command], conf, args)
-        if bad:
-            print(f"solgeo: config {bad}", file=sys.stderr)
-            return 2
 
     t0 = time.perf_counter()
     faults0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -468,7 +414,7 @@ def main(argv=None) -> int:
     timing = {"wall_s": wall_s, "minor_faults": usage.ru_minflt - faults0,
               "peak_rss_mb": usage.ru_maxrss / 1024.0}
     config = {k: v for k, v in vars(args).items()
-              if k not in ("config", "report") and v is not None}
+              if k != "report" and v is not None}
     try:
         report = _write_report(args.report, config, checks,
                                getattr(args, "seed", 0), timing)

@@ -106,7 +106,7 @@ def _dot(a, b):
 # --- residuals ---------------------------------------------------------------
 
 def pde_residual(eq: str, fields: dict, params: dict | None = None,
-                 mode: str = "fd", grid=None) -> dict:
+                 mode: str = "fd", *, grid) -> dict:
     """One residual array per printed equation line.
 
     In "fd" mode the fields are sampled arrays on `grid`; in "analytic"
@@ -115,8 +115,6 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
     once, at the end.  The mi signature sign is params["r2"] (default +1).
     """
     params = params or {}
-    if grid is None:
-        raise DomainError("grid required")
     if mode == "fd":
         d = _fd(grid)
     elif mode == "analytic":
@@ -173,14 +171,8 @@ def pde_residual(eq: str, fields: dict, params: dict | None = None,
         q, p, v = fields["q"], fields["p"], fields["v"]
         a = params.get("a", -0.5)
         b = params.get("b", -0.5)
-        variant = params.get("zii_sign_variant", "printed")
-        m1q = _m1_op(d, q, alpha, a, b)
-        m1p = _m1_op(d, p, alpha, a, b)
-        if variant == "printed":
-            r2 = 1j * d(p, "t") - m1p - v * p
-        else:  # the limit form with the opposite overall sign
-            r2 = -1j * d(p, "t") + m1p + v * p
-        res = {"q": 1j * d(q, "t") + m1q + v * q, "p": r2,
+        res = {"q": 1j * d(q, "t") + _m1_op(d, q, alpha, a, b) + v * q,
+               "p": 1j * d(p, "t") - _m1_op(d, p, alpha, a, b) - v * p,
                "v": (_m2_op(d, v, alpha, a, b)
                      + 2 * _m1_op(d, p * q, alpha, a, b))}
     elif eq not in _SPIN_EQS:
@@ -252,8 +244,8 @@ def _spin_residual(eq, fields, params, grid, d, alpha):
 
 # --- Lax matrix builders -----------------------------------------------------
 
-def build_lax(eq: str, fields: dict, params: dict | None = None,
-              grid=None, d=None) -> dict:
+def build_lax(eq: str, fields: dict, params: dict | None = None, *,
+              grid, d=None) -> dict:
     """Lax matrices exactly as printed, with the derivative d(f, axis) on
     the grid (default finite differences).
 
@@ -266,8 +258,6 @@ def build_lax(eq: str, fields: dict, params: dict | None = None,
     from solgeo import liealg
 
     params = params or {}
-    if grid is None:
-        raise DomainError("grid required")
     d = d or _fd(grid)
 
     if eq == "zi":
