@@ -25,6 +25,11 @@ def run(argv):
     return cli.main(argv)
 
 
+def _flag_ids(count):
+    """Test ids of argv cases whose value comes in as a command-line flag."""
+    return [f"argv{i}-flag" for i in range(count)]
+
+
 def fresh_python(args, env=None):
     """Run a new interpreter with solgeo importable; the in-process tests
     cannot show import-time behaviour once numpy and scipy are loaded."""
@@ -288,7 +293,7 @@ def test_check_lax_control_ratio_follows_the_refinement_rule(tmp_path,
     ["check", "--system", "mlxii", "--case", "pure-gauge", "--n", "8",
      "--refine", "2"],
     ["check", "--kind", "lambda", "--n", "8", "--refine", "2"],
-])
+], ids=_flag_ids(4))
 def test_perturb_outside_lax_is_usage_error(argv, capsys):
     # only the lax check runs a perturbed negative control; elsewhere the
     # flag was recorded in the config and never applied
@@ -346,7 +351,8 @@ def test_refusal_table_covers_every_check_and_flag():
 
 
 @pytest.mark.parametrize("check, dest", [
-    (check, dest) for check, (_, reads) in cli.CHECKS.items()
+    pytest.param(check, dest, id=f"{check}-{dest}-flag")
+    for check, (_, reads) in cli.CHECKS.items()
     for dest in _check_flags() if dest not in reads])
 def test_flag_the_check_does_not_read_is_usage_error(check, dest, tmp_path,
                                                      capsys):
@@ -456,13 +462,14 @@ def _assert_tol_refused(argv, tol, capsys):
     ["check", "--system", "mlxii", "--case", "pure-gauge", "--n", "8"],
     ["check", "--kind", "lambda", "--n", "8"],
     ["check", "--kind", "lax"],
-])
+], ids=_flag_ids(3))
 def test_refinement_checks_refuse_tol(argv, capsys):
     # these checks gate on ratio windows
     _assert_tol_refused(argv + ["--refine", "2"], 1e-30, capsys)
 
 
-@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0])
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1.0],
+                         ids=lambda tol: f"{tol}-flag")
 def test_non_finite_or_negative_tol_is_usage_error(tol, capsys):
     # inf passes every value and nan none, and a finite one is no option
     # either: the plane-wave gate's bound is TOL_ANALYTIC
